@@ -8,6 +8,7 @@ import (
 
 	"socialrec/internal/coalesce"
 	"socialrec/internal/mechanism"
+	"socialrec/internal/utility"
 )
 
 // The utility-vector cache memoizes the deterministic pre-processing stage
@@ -159,9 +160,12 @@ type CacheStats struct {
 // sparse form: on sparse graphs a target's utility vector has a few hundred
 // nonzeros out of n, so an entry costs O(nnz) bytes instead of the O(n) a
 // dense vector + candidate list would (the recbench sparse scenario
-// measures the reduction). The slices are shared between the cache and all
-// readers and must never be mutated after insertion. umax == 0 records a
-// negative result (the target has no positive-utility candidate), so
+// measures the reduction). It is the one pre-noise form every request
+// draws from: an uncached request borrows it over pooled kernel scratch
+// (borrowVector), a cache or coalescer keeps an owned copy
+// (computeVector). A kept copy's slices are shared between the cache and
+// all readers and must never be mutated after insertion. umax == 0 records
+// a negative result (the target has no positive-utility candidate), so
 // repeated requests for hopeless targets are served without a graph scan
 // too.
 type cachedVector struct {
@@ -179,8 +183,24 @@ type cachedVector struct {
 	// mechanism's zero-tail rank back to a node ID in O(log) time.
 	skip []int32
 	// cdf is the exponential mechanism's sparse cumulative-weight form
-	// (nil for other mechanisms); see mechanism.SparseCDF.
+	// (nil for other mechanisms and for borrowed vectors); see
+	// mechanism.SparseCDF.
 	cdf *mechanism.SparseCDF
+	// sup is the pooled kernel scratch that idx, val and skip alias when
+	// the vector is borrowed by one uncached request (see borrowVector);
+	// nil for the owned copies a cache or coalescer keeps.
+	sup *utility.Support
+}
+
+// release returns a borrowed vector and its pooled scratch; a no-op for
+// owned vectors. A borrowed vector must not be read afterwards.
+func (cv *cachedVector) release() {
+	if cv.sup == nil {
+		return
+	}
+	cv.sup.Release()
+	*cv = cachedVector{}
+	borrowedPool.Put(cv)
 }
 
 // sparseVec is the mechanism-facing view of the cached entry.

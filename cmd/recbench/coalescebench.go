@@ -183,7 +183,7 @@ type loadtestResult struct {
 	// Runtime memory behaviour over the open-loop window
 	// (runtime.ReadMemStats deltas): heap allocations performed, GC cycles
 	// completed, and total stop-the-world pause. Allocation pressure is
-	// what the streaming pipeline attacks, so the load test tracks it next
+	// what the pooled request path attacks, so the load test tracks it next
 	// to latency.
 	TotalAllocs   uint64 `json:"total_allocs"`
 	GCCycles      uint32 `json:"gc_cycles"`

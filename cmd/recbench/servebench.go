@@ -60,8 +60,6 @@ type serveBenchResult struct {
 
 	Coalesce coalesceBenchResult `json:"coalesce"`
 
-	Streaming streamingBenchResult `json:"streaming"`
-
 	Loadtest loadtestResult `json:"loadtest"`
 }
 
@@ -617,10 +615,6 @@ func runServeBench(opts experiment.SuiteOptions, outPath string, quick bool) err
 		return err
 	}
 
-	if res.Streaming, err = runStreamingBench(g, quick); err != nil {
-		return err
-	}
-
 	if res.Loadtest, err = runLoadtestBench(g, quick); err != nil {
 		return err
 	}
@@ -695,23 +689,6 @@ func runServeBench(opts experiment.SuiteOptions, outPath string, quick bool) err
 		// not lose to computing it per request.
 		return fmt.Errorf("coalesce guardrail: coalesced %.0f ns/op slower than uncoalesced %.0f ns/op (%.2fx, want >= 1.0)",
 			co.CoalescedNsOp, co.UncoalescedNsOp, co.Speedup)
-	}
-	sb := res.Streaming
-	fmt.Printf("streaming (%d hubs, %d reqs): materialized %.0f ns/op %.1f allocs/op vs streamed %.0f ns/op %.1f allocs/op (%.1fx, alloc ratio %.2f); top-5 %.0f -> %.0f ns/op; bit-identical %v\n",
-		sb.Targets, sb.Requests,
-		sb.MaterializedNsOp, sb.MaterializedAllocs, sb.StreamedNsOp, sb.StreamedAllocs,
-		sb.Speedup, sb.AllocRatio, sb.TopKMaterializedNsOp, sb.TopKStreamedNsOp, sb.BitIdentical)
-	if quick && sb.AllocRatio > 0.5 {
-		// The tentpole's acceptance bar: streaming must cut the uncached
-		// per-request allocations at least in half.
-		return fmt.Errorf("streaming guardrail: alloc ratio %.2f exceeds 0.5 (streamed %.1f vs materialized %.1f allocs/op)",
-			sb.AllocRatio, sb.StreamedAllocs, sb.MaterializedAllocs)
-	}
-	if quick && sb.StreamedNsOp > 1.1*sb.MaterializedNsOp {
-		// Ratio-only guardrail with the usual 10% headroom: fusing the
-		// stages must not cost latency.
-		return fmt.Errorf("streaming guardrail: streamed %.0f ns/op slower than materialized %.0f ns/op",
-			sb.StreamedNsOp, sb.MaterializedNsOp)
 	}
 	lt := res.Loadtest
 	fmt.Printf("loadtest (%d hot targets, zipf %g): offered %.0f qps, achieved %.0f qps, %s; saturation %.0f qps @ %d workers\n",

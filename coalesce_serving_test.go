@@ -22,8 +22,8 @@ func coalesceTestTarget(t *testing.T, rec *Recommender) (int, *cachedVector) {
 	t.Helper()
 	st := rec.state.Load()
 	for cand := 0; cand < st.snap.NumNodes(); cand++ {
-		v, err := rec.vector(st, cand)
-		if err != nil {
+		v, err := rec.computeVector(st, cand)
+		if err != nil || v.umax == 0 {
 			continue
 		}
 		if len(v.idx) >= 2 && len(v.idx) <= 6 && v.ncand > len(v.idx) {

@@ -96,53 +96,30 @@
 // (without the deadline wait), so bulk warming and live serving of the same
 // target share one computation instead of racing.
 //
-// # Streaming pipeline
+// # Pooled request path
 //
-// Caching and coalescing amortize the pre-noise stage across requests; the
-// streaming pipeline removes its memory cost from requests that have
-// nothing to amortize against. When no cache and no coalescer are enabled,
-// a request never materializes its utility vector at all — the stages fuse
-// into one pull-based graph:
+// Every request finds its pre-noise form the same way: the target's sparse
+// support (idx, val), the tail-rank table, the candidate count and u_max.
+// A cache or coalescer hands out an owned copy it keeps across requests;
+// without either, the request borrows the form over the utility kernel's
+// pooled scratch (utility.FillSparse), draws through the same sparse
+// mechanism entry points and tail resolution the cached path uses, and
+// releases the scratch before returning. Ownership is strictly per
+// request: the kernel fills the pooled Support, the request reads it, and
+// Support.Release hands it back — nothing pooled is reachable after the
+// request returns, and a cache fill copies the support out before
+// releasing. Steady-state uncached serving therefore allocates nothing
+// per request (an AllocsPerRun test and the CI escape-analysis guard pin
+// this), and the per-pool get/put/new counters on /healthz make a leak
+// (news tracking gets) observable in production.
 //
-//	candidates ──▶ utility kernel ──▶ stream.Scorer ──▶ mechanism consumer ──▶ top-k / pick
-//	               (pooled scratch)    Next()/Reset()    (running scalars,       (O(k) heap)
-//	                                   ascending pairs    noise folded in)
-//
-// The utility kernel runs against pooled accumulators and exposes the
-// nonzero support as a stream.Scorer: Next() yields (node, utility) pairs
-// ascending by node ID, Reset() rewinds for multi-pass consumers, Close()
-// returns the scratch to its per-P pool. The mechanism consumes the stream
-// directly — the exponential mechanism folds the incremental CDF into a
-// running mass and finds the winning prefix crossing with the identical
-// arithmetic the materialized binary search performs; the noisy-max family
-// folds per-candidate noise into a running best; top-k offers noisy scores
-// straight into a bounded O(k) heap. The only per-request state beyond
-// pooled scratch is a handful of running scalars, so steady-state serving
-// is allocation-free (an escape-analysis guard in CI and an AllocsPerRun
-// test pin this), which is what keeps GC pauses out of the uncached p99.
-//
-// Scratch ownership is strictly per request: a scorer owns its pooled
-// accumulators from StreamSparse until Close, the mechanism borrows the
-// scorer only within the call, and nothing pooled is ever reachable after
-// the request returns — the per-pool get/put/new counters are exported on
-// /healthz so a leak (news tracking gets) is observable in production.
-// Shared consumers still need vectors that outlive a request, so cache
-// fill, coalesced computation, batch serving, and Precompute gather their
-// support slices from the same streaming kernels (one counting pass, one
-// exact-size fill); there is one stage graph, consumed lazily by plain
-// requests and eagerly by shared ones.
-//
-// Streaming is DP-safe for the strongest possible reason: it is the same
-// computation. Every streamed stage performs the identical floating-point
-// operations in the identical order and consumes the RNG in the identical
-// sequence as its materialized counterpart, so for a fixed seed the served
-// bytes are bit-identical (property tests pin this across every utility,
-// mechanism, directedness, and both the single and top-k APIs). Fusion
-// reorganizes only the deterministic pre-noise stage — u_max, Δf, the
-// candidate domain, and the mechanism's output distribution are untouched,
-// and noise is still drawn fresh per request after the pre-noise scan.
-// WithoutStreaming forces the materialized path as a diagnostic control;
-// the recbench `streaming` section measures one against the other.
+// Pooling is DP-safe because it is a pure refactor of the deterministic
+// pre-noise stage: the same kernel computes the same floats in the same
+// order, whether into pooled or freshly allocated memory, and the noise is
+// still drawn per request after it. u_max, Δf, the candidate domain and
+// the mechanism's output distribution are untouched, and for a fixed seed
+// the served bytes are identical with and without a cache or coalescer (a
+// golden digest test pins this).
 //
 // # Budget accounting
 //
@@ -427,9 +404,10 @@
 //     (see "What the theory says" and the mechanism layer).
 //
 //   - poolscratch: values obtained from stream.Pool.Get must not be used
-//     after Put/Close and must not be stored into longer-lived structures.
-//     Guards the zero-alloc streaming pipeline's scratch ownership rule
-//     ("Streaming pipeline": the kernel owns scratch until Close).
+//     after Put and must not be stored into longer-lived structures, and a
+//     pooled utility.Support must not be used after its Release. Guards
+//     the request path's scratch ownership rule ("Pooled request path":
+//     a request owns its pooled support until it releases it).
 //
 //   - atomicfield: a struct field accessed through sync/atomic anywhere
 //     must be accessed that way everywhere — one plain read next to an

@@ -129,12 +129,16 @@ func recvNamed(fn *types.Func) *types.Named {
 	if !ok || sig.Recv() == nil {
 		return nil
 	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, _ := t.(*types.Named)
+	named, _ := deref(sig.Recv().Type()).(*types.Named)
 	return named
+}
+
+// deref strips one level of pointer from t.
+func deref(t types.Type) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
 }
 
 // isMethodOf reports whether fn is a method named methodName on the named

@@ -6,17 +6,18 @@ import (
 	"go/types"
 )
 
-// PoolScratch pins the pooled-scratch ownership contract from the
-// streaming pipeline (internal/stream): scratch obtained from
-// stream.Pool.Get travels pool -> kernel -> consumer -> pool, never to the
-// heap. The compile-time escape guard (scripts/escapecheck.sh) catches
-// scratch that stops fitting its pool; this analyzer catches the lifetime
-// bugs the compiler cannot see:
+// PoolScratch pins the pooled-scratch ownership contract of the request
+// path (internal/stream pools): scratch obtained from stream.Pool.Get
+// travels pool -> kernel -> request -> pool, never to the heap. The
+// compile-time escape guard (scripts/escapecheck.sh) catches scratch that
+// stops fitting its pool; this analyzer catches the lifetime bugs the
+// compiler cannot see:
 //
 //   - use after release: any use of a scratch value after the Pool.Put
-//     that returned it, or of a Scorer after its Close (Close puts the
-//     backing scratch back, so the scorer may be concurrently reused by
-//     another request — reading it is a data race that corrupts noise);
+//     that returned it, or of a pooled utility.Support after its Release
+//     (Release puts the backing scratch back, so the support's slices may
+//     already hold another request's utilities — reading them is a data
+//     race that corrupts the draw);
 //   - escaping stores: assigning a Get result to a struct field or a
 //     package-level variable parks request-scoped scratch somewhere that
 //     outlives the request, silently defeating recycling and aliasing
@@ -24,16 +25,16 @@ import (
 //
 // The analysis is a per-function, source-order approximation: it tracks
 // local variables bound to Pool.Get results, marks them released at a
-// Put(v)/v.Close() call, and un-marks them when rebound. Control flow that
+// Put(v)/v.Release() call, and un-marks them when rebound. Control flow that
 // releases on one branch and uses on another is reported — on this
 // codebase's hot paths release is always the last act of a request, so a
 // syntactic "use textually after release" is exactly the bug pattern.
 var PoolScratch = &Analyzer{
 	Name: "poolscratch",
-	Doc: "flag pooled scratch used after Put/Close or stored past the request\n\n" +
-		"stream.Pool scratch is owned pool->kernel->consumer->pool; a use " +
-		"after Put/Close races with the next request's Get, and a store to " +
-		"a field or global defeats recycling.",
+	Doc: "flag pooled scratch used after Put/Release or stored past the request\n\n" +
+		"stream.Pool scratch is owned pool->kernel->request->pool; a use " +
+		"after Put or utility.Support.Release races with the next request's " +
+		"Get, and a store to a field or global defeats recycling.",
 	Run: runPoolScratch,
 }
 
@@ -56,42 +57,12 @@ func runPoolScratch(pass *Pass) error {
 	return nil
 }
 
-// scorerLike reports whether t's method set duck-types as a stream.Scorer
-// (Next/Reset/Close) declared in this module. Matching by shape rather
-// than types.Implements keeps the check working in fixtures and across
-// kernel packages without importing internal/stream here.
-func scorerLike(t types.Type) bool {
-	named, ok := deref(t).(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	if !hasPathPrefix(named.Obj().Pkg().Path(), modulePath) {
-		return false
-	}
-	ms := types.NewMethodSet(types.NewPointer(named))
-	need := map[string]bool{"Next": false, "Reset": false, "Close": false}
-	for i := 0; i < ms.Len(); i++ {
-		name := ms.At(i).Obj().Name()
-		if _, ok := need[name]; ok {
-			need[name] = true
-		}
-	}
-	return need["Next"] && need["Reset"] && need["Close"]
-}
-
-func deref(t types.Type) types.Type {
-	if p, ok := t.(*types.Pointer); ok {
-		return p.Elem()
-	}
-	return t
-}
-
 // checkPoolScratchFunc walks one function body in source order.
 func checkPoolScratchFunc(pass *Pass, body *ast.BlockStmt) {
 	info := pass.TypesInfo
 
 	// tracked maps a local variable object to the position of the Get that
-	// bound it; released maps it to the position of the Put/Close that
+	// bound it; released maps it to the position of the Put/Release that
 	// ended its lease.
 	tracked := map[types.Object]token.Pos{}
 	released := map[types.Object]token.Pos{}
@@ -119,6 +90,9 @@ func checkPoolScratchFunc(pass *Pass, body *ast.BlockStmt) {
 	isPoolPut := func(call *ast.CallExpr) bool {
 		return isMethodOf(calleeFunc(info, call), modulePath+"/internal/stream", "Pool", "Put")
 	}
+	isSupportRelease := func(call *ast.CallExpr) bool {
+		return isMethodOf(calleeFunc(info, call), modulePath+"/internal/utility", "Support", "Release")
+	}
 
 	// storesEscape reports stores of tracked scratch to struct fields or
 	// package-level variables.
@@ -134,8 +108,8 @@ func checkPoolScratchFunc(pass *Pass, body *ast.BlockStmt) {
 		case *ast.SelectorExpr:
 			if sel, ok := info.Selections[l]; ok && sel.Kind() == types.FieldVal {
 				// Linking scratch into other request-scoped pooled scratch
-				// is the kernel pattern (a pooled scorer owning a pooled
-				// bitset until its Close); the escape that matters is into
+				// is the kernel pattern (one pooled object holding another
+				// until both go back); the escape that matters is into
 				// a value this request did not get from a pool.
 				if base := localObj(l.X); base != nil {
 					if _, ok := tracked[base]; ok {
@@ -195,7 +169,7 @@ func checkPoolScratchFunc(pass *Pass, body *ast.BlockStmt) {
 			if deferred[n] {
 				return true
 			}
-			// Put(v) releases v; v.Close() releases a scorer-like v.
+			// Put(v) releases v; v.Release() releases a pooled support v.
 			// The lease ends at the call's End(), not Pos(): the releasing
 			// call's own argument/receiver identifiers are part of the
 			// release, not uses after it.
@@ -205,9 +179,9 @@ func checkPoolScratchFunc(pass *Pass, body *ast.BlockStmt) {
 				}
 				return true
 			}
-			if fn := calleeFunc(info, n); fn != nil && fn.Name() == "Close" {
+			if isSupportRelease(n) {
 				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
-					if obj := localObj(sel.X); obj != nil && scorerLike(obj.Type()) {
+					if obj := localObj(sel.X); obj != nil {
 						released[obj] = n.End()
 					}
 				}

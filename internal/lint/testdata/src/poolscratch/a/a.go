@@ -1,7 +1,10 @@
 // Package a holds positive and negative poolscratch fixtures.
 package a
 
-import "socialrec/internal/stream"
+import (
+	"socialrec/internal/stream"
+	"socialrec/internal/utility"
+)
 
 type buf struct{ vals []float64 }
 
@@ -30,9 +33,16 @@ func storeToGlobal() {
 	bufPool.Put(b)
 }
 
-func useAfterClose(s *stream.SliceScorer) {
-	s.Close()
-	_, _, _ = s.Next() // want "use of .s. after it was released"
+func useAfterRelease() float64 {
+	sup, _ := utility.FillSparse(1)
+	sup.Release()
+	return sup.Val[0] // want "use of .sup. after it was released"
+}
+
+func releaseAfterUseIsFine() float64 {
+	sup, _ := utility.FillSparse(1)
+	defer sup.Release()
+	return sup.Val[0]
 }
 
 func deferredPutIsFine() float64 {
@@ -50,25 +60,18 @@ func rebindIsFine() {
 	bufPool.Put(b)
 }
 
-// pooledScorer mirrors the kernel pattern: pooled scratch linked into
-// other pooled scratch that owns it until Close. No reports here.
-type pooledScorer struct {
+// pooledSupport mirrors the kernel pattern: pooled scratch linked into
+// other pooled scratch that owns it until release. No reports here.
+type pooledSupport struct {
 	b   *buf
 	pos int
 }
 
-var scorerPool = stream.NewPool("fixture.scorer", func() *pooledScorer { return &pooledScorer{} })
+var supportPool = stream.NewPool("fixture.support", func() *pooledSupport { return &pooledSupport{} })
 
-func kernelPatternIsFine() *pooledScorer {
-	sc := scorerPool.Get()
+func kernelPatternIsFine() *pooledSupport {
+	sp := supportPool.Get()
 	b := bufPool.Get()
-	sc.b = b // linking into request-scoped pooled scratch is the contract
-	return sc
-}
-
-func (sc *pooledScorer) Next() (int32, float64, bool) { return 0, 0, false }
-func (sc *pooledScorer) Reset()                       {}
-func (sc *pooledScorer) Close() {
-	bufPool.Put(sc.b)
-	scorerPool.Put(sc)
+	sp.b = b // linking into request-scoped pooled scratch is the contract
+	return sp
 }

@@ -1,5 +1,5 @@
 // Package stream is a hermetic fixture stub of socialrec/internal/stream:
-// the instrumented Pool and the Scorer contract, shapes only.
+// the instrumented Pool, shapes only.
 package stream
 
 type Pool[T any] struct{ newFn func() *T }
@@ -8,16 +8,3 @@ func NewPool[T any](name string, newFn func() *T) *Pool[T] { return &Pool[T]{new
 
 func (p *Pool[T]) Get() *T  { return p.newFn() }
 func (p *Pool[T]) Put(v *T) {}
-
-type Scorer interface {
-	Next() (idx int32, val float64, ok bool)
-	Reset()
-	Close()
-}
-
-// SliceScorer is a concrete scorer for use-after-Close fixtures.
-type SliceScorer struct{ pos int }
-
-func (s *SliceScorer) Next() (int32, float64, bool) { return 0, 0, false }
-func (s *SliceScorer) Reset()                       {}
-func (s *SliceScorer) Close()                       {}

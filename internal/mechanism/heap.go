@@ -3,24 +3,15 @@ package mechanism
 // Bounded-heap top-k selection. Serving returns small k over large candidate
 // domains, so selection cost should be O(n log k), not the O(n log n) of a
 // full sort or the O(n·k) of repeated scans. The incremental topHeap is the
-// single implementation behind both the materialized TopIndices and the
-// streaming top-k consumers (stream.go): feeding it the same (value,
-// sequence) pairs in the same order produces the same selection bit for
-// bit, which is how streamed top-k stays identical to the materialized
-// release by construction.
+// single implementation behind TopIndices and the sparse Laplace top-k
+// release, which offers its noisy scores straight into it.
 
 // topEntry is one scored candidate offered to a topHeap: v is the (noisy)
-// score, seq the candidate's position in the offer order — the tie-break
-// key — and the remaining fields the caller's payload, carried through the
-// heap untouched.
+// score and seq the candidate's position in the offer order — the
+// tie-break key, and the caller's handle on which candidate it was.
 type topEntry struct {
 	v   float64
 	seq int
-	// Payload: a resolved support candidate (node, util) or a tail rank.
-	node   int32
-	util   float64
-	tail   int
-	isTail bool
 }
 
 // topHeap selects the k best entries by descending v with ties toward the

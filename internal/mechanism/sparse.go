@@ -202,8 +202,14 @@ func SampleSparseCDF(c *SparseCDF, rng *rand.Rand) Pick {
 	return TailPick(rank)
 }
 
-// RecommendSparse implements SparseMechanism: the two-stage draw over
-// (support CDF, closed-form zero-tail mass), O(nnz) with pooled scratch.
+// RecommendSparse implements SparseMechanism: the two-stage draw of
+// SampleSparseCDF without materializing the CDF. One pass sums the support
+// weights, the single uniform variate lands in either the support mass or
+// the closed-form tail mass, and a support draw re-runs the same prefix
+// accumulation until it crosses the variate. The running prefix reproduces
+// SparseCDF.Support bit for bit, so the linear crossing finds the index the
+// binary search would: the draw is identical to SampleSparseCDF on
+// SparseCDF(s), in O(nnz) time and no scratch.
 func (e Exponential) RecommendSparse(s SparseVec, rng *rand.Rand) (Pick, error) {
 	if err := e.validate(); err != nil {
 		return Pick{}, err
@@ -211,10 +217,34 @@ func (e Exponential) RecommendSparse(s SparseVec, rng *rand.Rand) (Pick, error) 
 	if err := s.validate(); err != nil {
 		return Pick{}, err
 	}
-	handle, w := getScratch(len(s.Val))
-	defer putScratch(handle)
-	c := buildSparseCDF(w, s, e.Epsilon/e.Sensitivity)
-	return SampleSparseCDF(&c, rng), nil
+	scale := e.Epsilon / e.Sensitivity
+	umax := s.max()
+	var zs float64
+	for _, x := range s.Val {
+		zs += math.Exp(scale * (x - umax))
+	}
+	tail := s.tail()
+	tw := math.Exp(-scale * umax)
+	target := rng.Float64() * (zs + float64(tail)*tw)
+	if target < zs {
+		var acc float64
+		for i, x := range s.Val {
+			acc += math.Exp(scale * (x - umax))
+			if acc > target {
+				return Pick{Support: i}, nil
+			}
+		}
+	}
+	if tail == 0 {
+		// Rounding fell through the support mass; mirror SampleSparseCDF
+		// by resolving to the last candidate.
+		return Pick{Support: len(s.Val) - 1}, nil
+	}
+	rank := int((target - zs) / tw)
+	if rank >= tail {
+		rank = tail - 1 // rounding falls through to the last tail slot
+	}
+	return TailPick(rank), nil
 }
 
 // ProbabilitiesSparse implements SparseDistribution: the Definition 5 law
@@ -540,18 +570,18 @@ func TopKLaplaceSparse(eps, sens float64, s SparseVec, k int, rng *rand.Rand) ([
 		return nil, fmt.Errorf("mechanism: top-k k=%d outside [1, %d]", k, s.N)
 	}
 	noise := distribution.Laplace{Loc: 0, Scale: sens / eps}
-	type scored struct {
-		pick Pick
-		v    float64
+	// Noisy scores go straight into the bounded heap TopIndices uses, in
+	// offer order: support entries first (seq = support index), then the
+	// tail's order statistics (seq = nnz + t). Ties have probability zero
+	// under continuous noise.
+	h := topHeap{k: k, e: make([]topEntry, 0, k)}
+	for i, x := range s.Val {
+		h.offer(topEntry{v: x + noise.Sample(rng), seq: i})
 	}
 	m := s.tail()
-	j := min(k, m)
-	all := make([]scored, 0, len(s.Val)+j)
-	for i, x := range s.Val {
-		all = append(all, scored{Pick{Support: i}, x + noise.Sample(rng)})
-	}
-	if j > 0 {
-		ranks := distinctTailRanks(m, j, rng)
+	var ranks []int
+	if j := min(k, m); j > 0 {
+		ranks = distinctTailRanks(m, j, rng)
 		logQ := 0.0 // log of the running top uniform order statistic
 		for t := 0; t < j; t++ {
 			u := rng.Float64()
@@ -559,19 +589,17 @@ func TopKLaplaceSparse(eps, sens float64, s SparseVec, k int, rng *rand.Rand) ([
 				u = math.Nextafter(0, 1)
 			}
 			logQ += math.Log(u) / float64(m-t)
-			all = append(all, scored{TailPick(ranks[t]), noise.QuantileLog(logQ)})
+			h.offer(topEntry{v: noise.QuantileLog(logQ), seq: len(s.Val) + t})
 		}
 	}
-	// Select the k best by descending noisy score via the bounded heap the
-	// dense release uses; ties have probability zero under continuous noise.
-	xs := make([]float64, len(all))
-	for i := range all {
-		xs[i] = all[i].v
-	}
-	top := TopIndices(xs, k)
-	out := make([]Pick, k)
-	for i, t := range top {
-		out[i] = all[t].pick
+	top := h.drain()
+	out := make([]Pick, len(top))
+	for i, e := range top {
+		if e.seq < len(s.Val) {
+			out[i] = Pick{Support: e.seq}
+		} else {
+			out[i] = TailPick(ranks[e.seq-len(s.Val)])
+		}
 	}
 	return out, nil
 }
@@ -594,7 +622,12 @@ func TopKPeelSparse(eps, sens float64, s SparseVec, k int, rng *rand.Rand) ([]Pi
 	if k < 1 || k > s.N {
 		return nil, fmt.Errorf("mechanism: top-k k=%d outside [1, %d]", k, s.N)
 	}
-	round := Exponential{Epsilon: eps / float64(k), Sensitivity: sens}
+	// Each round is the Exponential{ε/k, Δf} draw over what remains, taken
+	// through a CDF in pooled scratch: one exp pass per round, where the
+	// scratch-free RecommendSparse spends up to two.
+	scale := eps / float64(k) / sens
+	handle, w := getScratch(len(s.Val))
+	defer putScratch(handle)
 	remaining := make([]float64, len(s.Val))
 	copy(remaining, s.Val)
 	alive := make([]int, len(s.Val)) // alive[i] = original support index at slot i
@@ -605,10 +638,8 @@ func TopKPeelSparse(eps, sens float64, s SparseVec, k int, rng *rand.Rand) ([]Pi
 	var taken TailTracker
 	out := make([]Pick, 0, k)
 	for len(out) < k {
-		pick, err := round.RecommendSparse(SparseVec{Val: remaining, N: len(remaining) + m}, rng)
-		if err != nil {
-			return nil, err
-		}
+		c := buildSparseCDF(w, SparseVec{Val: remaining, N: len(remaining) + m}, scale)
+		pick := SampleSparseCDF(&c, rng)
 		if pick.IsTail() {
 			out = append(out, TailPick(taken.Take(pick.Tail)))
 			m--

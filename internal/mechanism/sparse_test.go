@@ -307,6 +307,41 @@ func TestSparseNoTailBitIdentical(t *testing.T) {
 	}
 }
 
+// TestRecommendSparseMatchesSparseCDF pins the scratch-free exponential
+// draw to the cached one: on random sparse vectors with and without a zero
+// tail, RecommendSparse and SampleSparseCDF over SparseCDF make the same
+// pick from the same seed.
+func TestRecommendSparseMatchesSparseCDF(t *testing.T) {
+	gen := rand.New(rand.NewSource(17))
+	e := Exponential{Epsilon: 1.7, Sensitivity: 2}
+	for trial := 0; trial < 200; trial++ {
+		val := make([]float64, gen.Intn(12))
+		for i := range val {
+			val[i] = float64(1 + gen.Intn(5)) // coarse values force ties
+		}
+		s := SparseVec{Val: val, N: len(val) + gen.Intn(4)*gen.Intn(50)}
+		if s.N == 0 {
+			s.N = 1
+		}
+		cdf, err := e.SparseCDF(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := rand.New(rand.NewSource(int64(trial)))
+		b := rand.New(rand.NewSource(int64(trial)))
+		for i := 0; i < 200; i++ {
+			got, err := e.RecommendSparse(s, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := SampleSparseCDF(cdf, b); got != want {
+				t.Fatalf("trial %d draw %d (val=%v N=%d): RecommendSparse %+v vs SampleSparseCDF %+v",
+					trial, i, val, s.N, got, want)
+			}
+		}
+	}
+}
+
 // chiSquaredTwoSample compares two equally-sized empirical samples; under
 // the null (same distribution) the statistic is chi-squared with cells-1
 // degrees of freedom. Used for mechanisms without a closed dense form

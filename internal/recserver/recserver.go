@@ -321,8 +321,9 @@ type healthResponse struct {
 	// deployment-wide aggregates; per-principal spend is only exposed via
 	// the explicit /v1/budget?target= query.
 	Budget *budgetResponse `json:"budget,omitempty"`
-	// StreamPools reports the streaming pipeline's pooled-scratch counters
-	// (gets, puts, news per pool). Under steady load news should plateau:
+	// StreamPools reports the request path's pooled-scratch counters (gets,
+	// puts, news per pool: utility kernel scratch and pooled support,
+	// mechanism weight scratch). Under steady load news should plateau:
 	// a news count that tracks gets means scratch is escaping its request
 	// instead of being recycled. Allocation counters only — they reveal
 	// nothing about individual requests or edges.

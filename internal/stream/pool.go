@@ -1,3 +1,15 @@
+// Package stream holds the instrumented scratch pools the serving path
+// draws its per-request buffers from: the utility kernels' accumulators and
+// pooled support, and the mechanisms' weight scratch.
+//
+// The request path's zero-allocation claim rests on sync.Pool recycling
+// actually working — a pool that misses on every Get silently turns
+// "pooled scratch" back into per-request garbage without failing any test.
+// Pool wraps sync.Pool with three counters (gets, puts, news) and registers
+// itself in a package-level registry, so serving exposes pool
+// effectiveness on /healthz next to the cache and coalescer counters and a
+// pool-miss regression is observable in production: healthy steady state
+// is news << gets and puts ≈ gets.
 package stream
 
 import (
@@ -6,21 +18,12 @@ import (
 	"sync/atomic"
 )
 
-// Instrumented scratch pools. The streaming pipeline's zero-allocation claim
-// rests on sync.Pool recycling actually working — a pool that misses on
-// every Get silently turns "pooled scratch" back into per-request garbage
-// without failing any test. Pool wraps sync.Pool with three counters (gets,
-// puts, news) and registers itself in a package-level registry, so serving
-// exposes pool effectiveness on /healthz next to the cache and coalescer
-// counters and a pool-miss regression is observable in production: healthy
-// steady state is news << gets and puts ≈ gets.
-
 // PoolStat is a point-in-time snapshot of one pool's counters.
 type PoolStat struct {
 	// Name identifies the pool ("utility.sparse", "mechanism.scratch", ...).
 	Name string `json:"name"`
 	// Gets counts Get calls; Puts counts Put calls. A persistent gap means
-	// scratch is leaking past Close.
+	// scratch is leaking past its release.
 	Gets uint64 `json:"gets"`
 	Puts uint64 `json:"puts"`
 	// News counts Gets the pool could not serve from recycled scratch — the

@@ -2,40 +2,6 @@ package stream
 
 import "testing"
 
-func TestSliceScorer(t *testing.T) {
-	s := NewSlice([]int32{2, 5, 9}, []float64{1, 2.5, 3})
-	var idx []int32
-	var val []float64
-	for {
-		i, x, ok := s.Next()
-		if !ok {
-			break
-		}
-		idx = append(idx, i)
-		val = append(val, x)
-	}
-	if len(idx) != 3 || idx[0] != 2 || idx[2] != 9 || val[1] != 2.5 {
-		t.Fatalf("unexpected stream contents: idx=%v val=%v", idx, val)
-	}
-	// Reset rewinds to the start.
-	s.Reset()
-	i, x, ok := s.Next()
-	if !ok || i != 2 || x != 1 {
-		t.Fatalf("after Reset got (%d, %g, %v), want (2, 1, true)", i, x, ok)
-	}
-	// Exhausted streams keep returning ok=false.
-	s.Reset()
-	for range 3 {
-		s.Next()
-	}
-	if _, _, ok := s.Next(); ok {
-		t.Fatal("Next after exhaustion returned ok=true")
-	}
-	if _, _, ok := s.Next(); ok {
-		t.Fatal("repeated Next after exhaustion returned ok=true")
-	}
-}
-
 func TestPoolCounters(t *testing.T) {
 	type scratch struct{ buf []float64 }
 	p := NewPool("test.scratch", func() *scratch { return &scratch{} })

@@ -52,26 +52,19 @@ func (p PageRank) tolerance() float64 {
 // accumulated over the merged frontier, making every float — and the
 // iteration count — bit-identical to the dense power iteration.
 func (p PageRank) Sparse(v View, r int) ([]int32, []float64, error) {
-	s := getSparseScratch()
-	defer putSparseScratch(s)
-	cur, err := p.accumulate(v, r, s)
-	if err != nil {
-		return nil, nil, err
-	}
-	idx, val := collectSparse(v, r, cur)
-	return idx, val, nil
+	return sparseCopy(p, v, r)
 }
 
-// accumulate runs the power iteration into s and returns the accumulator
-// holding the converged mass (one of s.a/s.b, depending on iteration
-// parity). It is the shared kernel behind Sparse and StreamSparse.
-func (p PageRank) accumulate(v View, r int, s *sparseScratch) (*accumulator, error) {
-	if r < 0 || r >= v.NumNodes() {
-		return nil, fmt.Errorf("%w: %d", ErrTarget, r)
+// fill implements Function: the power iteration runs in s, and the
+// accumulator holding the converged mass (one of s.a/s.b, depending on
+// iteration parity) is gathered into s.sup.
+func (p PageRank) fill(v View, r int, s *sparseScratch) error {
+	if err := checkTarget(v, r); err != nil {
+		return err
 	}
 	alpha := p.alpha()
 	if !(alpha > 0 && alpha < 1) {
-		return nil, fmt.Errorf("utility: pagerank alpha %g outside (0,1)", alpha)
+		return fmt.Errorf("utility: pagerank alpha %g outside (0,1)", alpha)
 	}
 	n := v.NumNodes()
 	s.a.grow(n)
@@ -105,7 +98,8 @@ func (p PageRank) accumulate(v View, r int, s *sparseScratch) (*accumulator, err
 			break
 		}
 	}
-	return cur, nil
+	s.gather(v, r, cur)
+	return nil
 }
 
 // mergedAbsDiff returns Σ |a[i] - b[i]| over the union of the two sorted

@@ -59,6 +59,9 @@ type accumulator struct {
 	// dense marks that accumulation bypassed touched tracking: val alone is
 	// authoritative over [0, n). ascending rebuilds touched from it.
 	dense bool
+	// packed marks that compact moved the nonzero entries into the prefix
+	// val[:len(touched)]; reset clears that prefix.
+	packed bool
 	// n is the live prefix of val for the current graph (val may be longer,
 	// pooled from a bigger one).
 	n int
@@ -108,12 +111,38 @@ func (a *accumulator) ascending(n int) []int32 {
 	return a.touched
 }
 
+// compact gathers the nonzero entries, ascending by index, into the
+// accumulator's own memory: the indices into the touched list and the
+// values into the prefix val[:nnz]. The support then needs no buffer of
+// its own. The in-place moves are safe because the k-th nonzero index is
+// at least k, so a write never lands on an entry still to be read.
+func (a *accumulator) compact(n int) ([]int32, []float64) {
+	touched := a.ascending(n)
+	k := 0
+	for _, i := range touched {
+		x := a.val[i]
+		a.val[i] = 0
+		if x != 0 {
+			touched[k] = i
+			a.val[k] = x
+			k++
+		}
+	}
+	a.touched = touched[:k]
+	a.packed = true
+	return a.touched, a.val[:k]
+}
+
 // reset zeroes every touched entry, restoring the all-zero invariant.
 func (a *accumulator) reset() {
-	if a.dense {
+	switch {
+	case a.dense:
 		clear(a.val[:a.n])
 		a.dense = false
-	} else {
+	case a.packed:
+		clear(a.val[:len(a.touched)])
+		a.packed = false
+	default:
 		for _, i := range a.touched {
 			a.val[i] = 0
 		}
@@ -122,16 +151,23 @@ func (a *accumulator) reset() {
 }
 
 // sparseScratch bundles the accumulators and row buffers one kernel
-// invocation needs; a sync.Pool recycles them so steady-state serving does
-// no length-n allocation. Accumulators are grown by the kernel itself —
+// invocation needs, plus the Support the kernel's result is gathered into
+// (its Idx and Val live in an accumulator's memory, see compact); a
+// sync.Pool recycles them so steady-state serving does no length-n or
+// support-sized allocation. Accumulators are grown by the kernel itself —
 // most kernels use only s.a, and growing all three would triple the pooled
 // scratch memory for nothing.
 type sparseScratch struct {
 	a, b, c    accumulator
 	rowA, rowB []int32
+	sup        Support
 }
 
-var sparsePool = stream.NewPool("utility.sparse", func() *sparseScratch { return &sparseScratch{} })
+var sparsePool = stream.NewPool("utility.sparse", func() *sparseScratch {
+	s := &sparseScratch{}
+	s.sup.s = s
+	return s
+})
 
 func getSparseScratch() *sparseScratch {
 	return sparsePool.Get()
@@ -142,6 +178,84 @@ func putSparseScratch(s *sparseScratch) {
 	s.b.reset()
 	s.c.reset()
 	sparsePool.Put(s)
+}
+
+// Support is a target's nonzero utility support held in pooled kernel
+// scratch: Idx the candidate node IDs ascending, Val the matching positive
+// utilities (bit-identical to Function.Sparse), and Skip the sorted union of
+// the target, its out-neighbors and Idx — every node a zero-utility tail
+// rank steps over when it is mapped back to a node ID. The slices alias
+// the pool's memory: they stay valid until Release, after which the next
+// request overwrites them.
+type Support struct {
+	Idx  []int32
+	Val  []float64
+	Skip []int32
+	s    *sparseScratch
+}
+
+// Release returns the support's scratch to its pool. Neither the Support
+// nor any of its slices may be used afterwards.
+func (sup *Support) Release() { putSparseScratch(sup.s) }
+
+// FillSparse computes f's nonzero support for target r into pooled scratch
+// — the serving path's pre-noise stage, with nothing allocated per request
+// once the pool is warm. The caller must Release the result; a consumer
+// that keeps the support past the request copies it out first.
+func FillSparse(f Function, v View, r int) (*Support, error) {
+	s := getSparseScratch()
+	if err := f.fill(v, r, s); err != nil {
+		putSparseScratch(s)
+		return nil, err
+	}
+	s.skipTable(v, r)
+	return &s.sup, nil
+}
+
+// sparseCopy is Function.Sparse: fill pooled scratch, then copy the
+// support out into caller-owned slices. It is generic so the utility's
+// receiver is not boxed into an interface.
+func sparseCopy[F Function](f F, v View, r int) ([]int32, []float64, error) {
+	s := getSparseScratch()
+	defer putSparseScratch(s)
+	if err := f.fill(v, r, s); err != nil {
+		return nil, nil, err
+	}
+	idx := append(make([]int32, 0, len(s.sup.Idx)), s.sup.Idx...)
+	val := append(make([]float64, 0, len(s.sup.Val)), s.sup.Val...)
+	return idx, val, nil
+}
+
+// skipTable builds s.sup.Skip: the sorted union of r, r's out-neighbors,
+// and the support. The three inputs are disjoint and already sorted, so a
+// linear merge produces the union without a sort.
+func (s *sparseScratch) skipTable(v View, r int) {
+	row := outRow(v, r, &s.rowA)
+	idx := s.sup.Idx
+	skip := s.sup.Skip[:0]
+	tgt := int32(r)
+	i, j := 0, 0
+	for i < len(row) || j < len(idx) {
+		if i < len(row) && (j >= len(idx) || row[i] < idx[j]) {
+			if tgt >= 0 && tgt < row[i] {
+				skip = append(skip, tgt)
+				tgt = -1
+			}
+			skip = append(skip, row[i])
+			i++
+		} else {
+			if tgt >= 0 && tgt < idx[j] {
+				skip = append(skip, tgt)
+				tgt = -1
+			}
+			skip = append(skip, idx[j])
+			j++
+		}
+	}
+	if tgt >= 0 {
+		skip = append(skip, tgt)
+	}
+	s.sup.Skip = skip
 }
 
 // twoHopWalk accumulates the common-neighbor counts of target r into s.a:
@@ -180,28 +294,17 @@ func twoHopWalk(v View, r int, s *sparseScratch) {
 	}
 }
 
-// collectSparse masks the candidate-convention exclusions (r itself and r's
-// out-neighbors) in acc and gathers the remaining nonzero entries into
-// caller-owned idx/val slices, ascending by node ID.
-func collectSparse(v View, r int, acc *accumulator) ([]int32, []float64) {
+// gather masks the candidate-convention exclusions (r itself and r's
+// out-neighbors) in acc and compacts the remaining nonzero entries into
+// s.sup, ascending by node ID. The exclusions are read through outRow
+// rather than the ForEachOutNeighbor closure, which would escape to the
+// heap through the interface call on the serving hot path.
+func (s *sparseScratch) gather(v View, r int, acc *accumulator) {
 	acc.zero(int32(r))
-	v.ForEachOutNeighbor(r, func(u int) { acc.zero(int32(u)) })
-	touched := acc.ascending(v.NumNodes())
-	nnz := 0
-	for _, i := range touched {
-		if acc.val[i] != 0 {
-			nnz++
-		}
+	for _, u := range outRow(v, r, &s.rowA) {
+		acc.zero(u)
 	}
-	idx := make([]int32, 0, nnz)
-	val := make([]float64, 0, nnz)
-	for _, i := range touched {
-		if x := acc.val[i]; x != 0 {
-			idx = append(idx, i)
-			val = append(val, x)
-		}
-	}
-	return idx, val
+	s.sup.Idx, s.sup.Val = acc.compact(v.NumNodes())
 }
 
 // CandidateCount returns the size of target r's candidate domain: every
@@ -220,53 +323,4 @@ func Scatter(n int, idx []int32, val []float64) []float64 {
 		vec[id] = val[i]
 	}
 	return vec
-}
-
-// nodeMark is a pooled bitset over node IDs with O(marked) clearing, used
-// for the exclusion checks (is this node the target or one of its
-// out-neighbors?) that Candidates and the Degree kernel need without an
-// O(n) []bool allocation per call.
-type nodeMark struct {
-	words  []uint64
-	marked []int32 // word indices holding set bits, for cheap clearing
-}
-
-func (m *nodeMark) grow(n int) {
-	need := (n + 63) / 64
-	if len(m.words) < need {
-		m.words = make([]uint64, need)
-	}
-}
-
-func (m *nodeMark) set(i int) {
-	w := int32(i >> 6)
-	if m.words[w] == 0 {
-		m.marked = append(m.marked, w)
-	}
-	m.words[w] |= 1 << (uint(i) & 63)
-}
-
-func (m *nodeMark) has(i int) bool { return m.words[i>>6]&(1<<(uint(i)&63)) != 0 }
-
-func (m *nodeMark) reset() {
-	for _, w := range m.marked {
-		m.words[w] = 0
-	}
-	m.marked = m.marked[:0]
-}
-
-var markPool = stream.NewPool("utility.mark", func() *nodeMark { return &nodeMark{} })
-
-// getExclusions returns a pooled bitset with r and r's out-neighbors set.
-func getExclusions(v View, r int) *nodeMark {
-	m := markPool.Get()
-	m.grow(v.NumNodes())
-	m.set(r)
-	v.ForEachOutNeighbor(r, func(u int) { m.set(u) })
-	return m
-}
-
-func putExclusions(m *nodeMark) {
-	m.reset()
-	markPool.Put(m)
 }

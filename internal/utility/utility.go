@@ -80,6 +80,12 @@ type Function interface {
 	// degree dr and current maximum utility umax. The experiments (§7.1)
 	// compute it exactly per target.
 	RewireCount(umax float64, dr int) int
+
+	// fill runs the utility's kernel for target r into pooled scratch,
+	// leaving the masked, ascending support in s.sup. Being unexported, it
+	// keeps every Function one of this package's kernels: FillSparse lends
+	// the result to the serving path, and Sparse copies it out.
+	fill(v View, r int, s *sparseScratch) error
 }
 
 // Localized is the optional interface a Function implements to declare that
@@ -149,12 +155,15 @@ func AllZero(vec []float64) bool {
 // relaxed privacy definition of §3.2, which only protects edges not incident
 // to the recommendation receiver.
 func Candidates(v View, r int) []int {
-	n := v.NumNodes()
-	excluded := getExclusions(v, r)
-	defer putExclusions(excluded)
+	var buf []int32
+	row := outRow(v, r, &buf)
 	out := make([]int, 0, CandidateCount(v, r))
-	for i := 0; i < n; i++ {
-		if !excluded.has(i) {
+	j := 0 // cursor into the ascending row
+	for i := 0; i < v.NumNodes(); i++ {
+		for j < len(row) && int(row[j]) < i {
+			j++
+		}
+		if i != r && (j == len(row) || int(row[j]) != i) {
 			out = append(out, i)
 		}
 	}

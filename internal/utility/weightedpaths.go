@@ -52,23 +52,17 @@ func (w WeightedPaths) validate() error {
 // ascending node order, making every accumulated float bit-identical to the
 // dense walk-matrix computation.
 func (w WeightedPaths) Sparse(v View, r int) ([]int32, []float64, error) {
-	s := getSparseScratch()
-	defer putSparseScratch(s)
-	if err := w.accumulate(v, r, s); err != nil {
-		return nil, nil, err
-	}
-	idx, val := collectSparse(v, r, &s.a)
-	return idx, val, nil
+	return sparseCopy(w, v, r)
 }
 
-// accumulate runs the frontier walk, leaving the discounted scores in s.a.
-// It is the shared kernel behind Sparse and StreamSparse.
-func (w WeightedPaths) accumulate(v View, r int, s *sparseScratch) error {
+// fill implements Function: the frontier walk accumulates the discounted
+// scores in s.a, which are then gathered into s.sup.
+func (w WeightedPaths) fill(v View, r int, s *sparseScratch) error {
 	if err := w.validate(); err != nil {
 		return err
 	}
-	if r < 0 || r >= v.NumNodes() {
-		return fmt.Errorf("%w: %d", ErrTarget, r)
+	if err := checkTarget(v, r); err != nil {
+		return err
 	}
 	// s.a accumulates the discounted score, s.b holds the current frontier's
 	// walk counts, s.c the next level's.
@@ -101,6 +95,7 @@ func (w WeightedPaths) accumulate(v View, r int, s *sparseScratch) error {
 		frontier.reset()
 		frontier, next = next, frontier
 	}
+	s.gather(v, r, &s.a)
 	return nil
 }
 

@@ -1,20 +1,25 @@
 #!/usr/bin/env bash
-# escapecheck.sh — escape-analysis guardrail for the streaming hot path.
+# escapecheck.sh — escape-analysis guardrail for the pooled request path.
 #
-# The streaming pipeline's zero-alloc claim rests on the compiler keeping
-# per-request state on the stack or in pooled scratch. This script compiles
-# the three pipeline packages with -gcflags=-m and fails if any heap escape
-# appears in the streaming hot-path files beyond the known-benign
+# An uncached request's zero-alloc claim rests on the compiler keeping
+# per-request state on the stack or in pooled scratch: the utility kernels
+# fill a pooled utility.Support, the mechanisms draw with pooled weight
+# scratch, and both pools are internal/stream instrumented pools. This
+# script compiles those three packages with -gcflags=-m and fails if any
+# heap escape appears in the request-path files beyond the known-benign
 # allowlist:
 #
 #   - pool New constructors (&T{} / func literal): run once per pool miss,
 #     not per request;
-#   - error-path boxing (fmt.Errorf arguments): requests that fail
+#   - length-n growth: an accumulator growing on a pool miss, and Vector's
+#     dense scatter (the exhaustive-evaluation oracle, not the request
+#     path);
+#   - error-path and name boxing (fmt arguments): requests that fail
 #     validation may allocate;
-#   - intentional O(k) result slices of the top-k entry points and the
-#     cold Stats()/grow paths.
+#   - intentional result slices of the copying Sparse API, the top-k entry
+#     points, the cache-fill CDF, and the cold Stats() path.
 #
-# Anything else — an accidental closure over a loop variable, a scorer
+# Anything else — an accidental closure over a loop variable, scratch
 # that stopped fitting its pool, an interface conversion on the per-entry
 # path — shows up as a new line and fails CI.
 #
@@ -35,16 +40,17 @@ while getopts 'v' opt; do
     esac
 done
 
-HOT_FILES='internal/(stream/(stream|pool)|utility/stream|mechanism/(stream|heap|pool))\.go'
+HOT_FILES='internal/(stream/pool|utility/(sparse|common|jaccard|degree|weightedpaths|pagerank)|mechanism/(sparse|heap|pool))\.go'
 
 # The allowlist is a list of "name<TAB>regexp" rules so that -v can report
 # which rule matched a given escape line. Order matters only for -v
 # attribution (first match wins); any match waives the line.
 ALLOW_RULES=(
-    $'pool-constructor\t&(Slice|accScorer|degreeScorer|peelScratch)\\{(\\.\\.\\.)?\\} escapes|&stream\\.Pool\\[.* escapes|func literal escapes'
-    $'cold-result-slice\tmake\\(\\[\\](PoolStat|topEntry|StreamPick|uint64|int|float64)'
-    $'errorpath-boxing\t: (out|nnz|n|k|s\\.Base\\.Name\\(\\)) escapes'
-    $'stats-receiver\tmoved to heap: s$'
+    $'pool-constructor\t&sparseScratch\\{\\} escapes|&stream\\.Pool\\[.* escapes|func literal escapes|moved to heap: s$'
+    $'length-n-growth\tmake\\(\\[\\]float64, n\\) escapes'
+    $'cold-result-slice\tmake\\(\\[\\](PoolStat|topEntry|Pick|int32|uint64|int|float64)|moved to heap: c$'
+    $'errorpath-boxing\t: (out|nnz|n|k|r|alpha|w\\.Gamma|s\\.N|len\\(s\\.Val\\)|s\\.Base\\.Name\\(\\)|~r0) escapes'
+    $'mutable-graph-row\tsparse\\.go:[0-9]+:[0-9]+: moved to heap: row$'
 )
 
 # Guard against the checked files being renamed out from under the regexp:
@@ -53,7 +59,7 @@ ALLOW_RULES=(
 hot_matches=$(git ls-files 'internal/*.go' | grep -cE "$HOT_FILES" || true)
 if [ "$hot_matches" -eq 0 ]; then
     echo "escapecheck: FATAL — HOT_FILES pattern matches zero tracked files;" >&2
-    echo "  the streaming hot-path files were renamed or removed. Update" >&2
+    echo "  the request-path files were renamed or removed. Update" >&2
     echo "  HOT_FILES in scripts/escapecheck.sh instead of letting the" >&2
     echo "  guardrail rot into a no-op." >&2
     exit 1
@@ -96,7 +102,7 @@ for pkg in ./internal/stream ./internal/utility ./internal/mechanism; do
         fi
     done <<<"$escapes"
     if [ -n "$new" ]; then
-        echo "escapecheck: new heap escapes in $pkg streaming hot path:" >&2
+        echo "escapecheck: new heap escapes in $pkg request path:" >&2
         printf '%s' "$new" >&2
         fail=1
     fi
@@ -105,4 +111,4 @@ if [ "$fail" -ne 0 ]; then
     echo "escapecheck: FAIL — either restore stack allocation or, if the escape is genuinely benign, extend the allowlist in scripts/escapecheck.sh" >&2
     exit 1
 fi
-echo "escapecheck: streaming hot paths clean"
+echo "escapecheck: request-path files clean"

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"socialrec/internal/distribution"
 	"socialrec/internal/graph"
 	"socialrec/internal/mechanism"
+	"socialrec/internal/stream"
 	"socialrec/internal/utility"
 	"socialrec/internal/wal"
 )
@@ -156,10 +158,6 @@ type Recommender struct {
 	// deltaInval enables delta-aware cache invalidation across live
 	// snapshot swaps (WithDeltaInvalidation); see invalidate.go.
 	deltaInval bool
-
-	// noStream forces the materialized per-request pipeline
-	// (WithoutStreaming); see streaming.go.
-	noStream bool
 
 	// live is non-nil when the Recommender retains a mutable copy of its
 	// graph for streaming mutations; see live.go.
@@ -498,34 +496,54 @@ func (r *Recommender) buildMech(st *snapState) mechanism.Mechanism {
 	}
 }
 
-// computeVector runs the deterministic pre-processing stage for target: the
-// sparse utility kernel (nonzero support only — O(nnz) work and memory, no
-// length-n pass), the tail-rank mapping table, plus — for the exponential
-// mechanism — the sparse cumulative-weight form that turns each subsequent
-// draw into an O(log nnz) binary search. All of it is a pure function of
-// the snapshot and the public (ε, Δf), so precomputing it does not change
-// the mechanism's output distribution.
-//
-// The support comes off the utility's streaming kernel (the same stage
-// graph fully streamed requests consume; see streaming.go), gathered here
-// because a cache entry must outlive the request. Gathered and streamed
-// pairs are bit-identical by the Streamer contract.
-func (r *Recommender) computeVector(st *snapState, target int) (*cachedVector, error) {
-	idx, val, err := r.supportSlices(st, target)
+// borrowedPool recycles the cachedVector headers of borrowed vectors, so
+// an uncached request allocates nothing once the pools are warm.
+var borrowedPool = stream.NewPool("socialrec.vector", func() *cachedVector { return &cachedVector{} })
+
+// borrowVector runs the deterministic pre-processing stage for target into
+// the utility kernel's pooled scratch: the sparse support (nonzero entries
+// only — O(nnz) work, no length-n pass), the tail-rank table, the candidate
+// count and the maximum utility. It is the whole pre-noise stage of an
+// uncached request. The vector is borrowed and must be released before the
+// request returns.
+func (r *Recommender) borrowVector(st *snapState, target int) (*cachedVector, error) {
+	sup, err := utility.FillSparse(r.util, st.snap, target)
 	if err != nil {
 		return nil, err
 	}
-	cv := &cachedVector{
-		idx:   idx,
-		val:   val,
-		umax:  utility.Max(val),
+	cv := borrowedPool.Get()
+	*cv = cachedVector{
+		idx:   sup.Idx,
+		val:   sup.Val,
+		skip:  sup.Skip,
+		umax:  utility.Max(sup.Val),
 		ncand: utility.CandidateCount(st.snap, target),
+		sup:   sup,
 	}
-	cv.skip = buildSkipTable(st.snap, target, idx)
-	// The CDF is only worth materializing when a cache or a coalesce group
-	// will amortize it; plain recommenders keep the mechanism's
-	// allocation-free pooled sampling path instead.
-	if cv.umax > 0 && (r.cache.Load() != nil || r.coal.Load() != nil) {
+	return cv, nil
+}
+
+// computeVector is the owned form of the pre-noise stage that a cache or a
+// coalesce group keeps past the request: the borrowed vector copied out of
+// pooled scratch, plus — for the exponential mechanism — the sparse
+// cumulative-weight form that turns each later draw into an O(log nnz)
+// binary search. All of it is a pure function of the snapshot and the
+// public (ε, Δf), so precomputing it does not change the mechanism's output
+// distribution.
+func (r *Recommender) computeVector(st *snapState, target int) (*cachedVector, error) {
+	b, err := r.borrowVector(st, target)
+	if err != nil {
+		return nil, err
+	}
+	defer b.release()
+	cv := &cachedVector{
+		idx:   slices.Clone(b.idx),
+		val:   slices.Clone(b.val),
+		skip:  slices.Clone(b.skip),
+		umax:  b.umax,
+		ncand: b.ncand,
+	}
+	if cv.umax > 0 {
 		if e, ok := st.mech.(mechanism.Exponential); ok {
 			cdf, err := e.SparseCDF(cv.sparseVec())
 			if err != nil {
@@ -537,70 +555,62 @@ func (r *Recommender) computeVector(st *snapState, target int) (*cachedVector, e
 	return cv, nil
 }
 
-// buildSkipTable returns the sorted union of target, target's
-// out-neighbors, and the nonzero support — every node a zero-tail rank must
-// step over. The three inputs are disjoint and already sorted, so a linear
-// merge produces the union without a sort.
-func buildSkipTable(snap graph.Store, target int, idx []int32) []int32 {
-	row := snap.Out(target)
-	skip := make([]int32, 0, len(row)+len(idx)+1)
-	tgt := int32(target)
-	i, j := 0, 0
-	for i < len(row) || j < len(idx) {
-		if i < len(row) && (j >= len(idx) || row[i] < idx[j]) {
-			if tgt >= 0 && tgt < row[i] {
-				skip = append(skip, tgt)
-				tgt = -1
-			}
-			skip = append(skip, row[i])
-			i++
-		} else {
-			if tgt >= 0 && tgt < idx[j] {
-				skip = append(skip, tgt)
-				tgt = -1
-			}
-			skip = append(skip, idx[j])
-			j++
-		}
-	}
-	if tgt >= 0 {
-		skip = append(skip, tgt)
-	}
-	return skip
-}
-
 // vector returns the sparse utility form over the candidate domain (all
 // nodes except the target and its existing out-neighbors): the nonzero
 // support, the candidate count, the tail-rank table, and the maximum
-// utility. Results come from the cache when one is enabled; the returned
-// slices are shared and must not be mutated.
+// utility. The caller releases it once done reading.
 func (r *Recommender) vector(st *snapState, target int) (*cachedVector, error) {
 	if target < 0 || target >= st.snap.NumNodes() {
 		return nil, fmt.Errorf("%w: %d", ErrBadTarget, target)
 	}
-	c := r.cache.Load()
-	if c != nil {
-		if cv, ok := c.get(st.epoch, target); ok {
-			return cv.check(target)
-		}
-	}
-	cv, err := r.computeShared(st, c, target, false)
+	cv, err := r.lookupVector(st, target)
 	if err != nil {
 		return nil, err
 	}
-	return cv.check(target)
-}
-
-func (cv *cachedVector) check(target int) (*cachedVector, error) {
 	if cv.umax == 0 {
+		cv.release()
 		return nil, fmt.Errorf("%w: node %d", ErrNoCandidates, target)
 	}
 	return cv, nil
 }
 
-// Recommend returns one private recommendation for the target node. Each
-// call consumes fresh randomness; repeated calls for the same target release
-// additional information and compose their ε budgets additively.
+// lookupVector finds target's pre-noise form. With neither a cache nor a
+// coalescer nothing is shared, so the request borrows it from pooled
+// scratch; otherwise it comes from the cache or the shared computation,
+// and its slices must not be mutated (release is then a no-op).
+func (r *Recommender) lookupVector(st *snapState, target int) (*cachedVector, error) {
+	c := r.cache.Load()
+	if c == nil && r.coal.Load() == nil {
+		return r.borrowVector(st, target)
+	}
+	if c != nil {
+		if cv, ok := c.get(st.epoch, target); ok {
+			return cv, nil
+		}
+	}
+	return r.computeShared(st, c, target, false)
+}
+
+// PoolStat is one pooled-scratch pool's lifetime counters; see
+// StreamPoolStats.
+type PoolStat = stream.PoolStat
+
+// StreamPoolStats reports the per-pool get/put/new counters of every
+// pooled-scratch pool the request path draws from (utility kernel scratch
+// and pooled support, mechanism weight scratch). A news count that keeps
+// growing under steady load means scratch is leaking past its request
+// instead of being returned — the serving layer exposes these next to the
+// cache and coalescer counters on /healthz for exactly that check.
+func StreamPoolStats() []PoolStat {
+	return stream.Stats()
+}
+
+// Recommend returns one private recommendation for the target node. Its
+// randomness is the split stream SplitN(seed, "recommend", target), keyed
+// by target alone: every call for the same target within one snapshot
+// repeats the same draw rather than drawing fresh noise. Callers that need
+// independent draws per request should pass RequestRNG to
+// RecommendWithRNG. Distinct releases compose their ε budgets additively.
 func (r *Recommender) Recommend(target int) (Recommendation, error) {
 	return r.recommend(target, distribution.SplitN(r.seed, "recommend", target))
 }
@@ -624,13 +634,11 @@ func (r *Recommender) RequestRNG() *rand.Rand {
 
 func (r *Recommender) recommend(target int, rng *rand.Rand) (Recommendation, error) {
 	st := r.state.Load()
-	if rec, ok, err := r.recommendStreaming(st, target, rng); ok {
-		return rec, err
-	}
 	cv, err := r.vector(st, target)
 	if err != nil {
 		return Recommendation{}, err
 	}
+	defer cv.release()
 	var pick mechanism.Pick
 	if cv.cdf != nil {
 		// Precomputed sparse CDF: same single rng.Float64() and the same
@@ -661,6 +669,7 @@ func (r *Recommender) ExpectedAccuracy(target int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer cv.release()
 	if d, ok := st.mech.(mechanism.SparseDistribution); ok {
 		return mechanism.ExpectedAccuracySparse(d, cv.sparseVec())
 	}
@@ -683,6 +692,7 @@ func (r *Recommender) AccuracyCeiling(target int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer cv.release()
 	t := r.util.RewireCount(cv.umax, st.snap.OutDegree(target))
 	return bounds.TightestAccuracyBoundSparse(cv.val, cv.ncand, r.epsilon, t)
 }

@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"socialrec/internal/distribution"
 	"socialrec/internal/gen"
 	"socialrec/internal/mechanism"
 	"socialrec/internal/utility"
@@ -81,6 +82,7 @@ func sparseServingProbs(t *testing.T, r *Recommender, sd mechanism.SparseDistrib
 	if err != nil {
 		return nil
 	}
+	defer cv.release()
 	support, tailEach, err := sd.ProbabilitiesSparse(cv.sparseVec())
 	if err != nil {
 		t.Fatal(err)
@@ -278,8 +280,8 @@ func TestSparseServingLaplaceGOF(t *testing.T) {
 		target := -1
 		var cv *cachedVector
 		for cand := 0; cand < g.NumNodes(); cand++ {
-			v, err := rec.vector(st, cand)
-			if err != nil {
+			v, err := rec.computeVector(st, cand)
+			if err != nil || v.umax == 0 {
 				continue
 			}
 			if len(v.idx) >= 2 && len(v.idx) <= 6 && v.ncand > len(v.idx) {
@@ -392,4 +394,54 @@ func TestSparseServingNoTailBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestUncachedSteadyStateAllocs pins the pooled request path's allocation
+// claim: once the pools are warm, an uncached request with caller-supplied
+// randomness performs (essentially) no heap allocations — the support, the
+// tail-rank table and the mechanism's weights all live in pooled scratch.
+// The bound leaves one allocation of headroom for pool refills after an
+// ill-timed GC.
+func TestUncachedSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc counts are meaningless")
+	}
+	g := servingTestGraph(t, false, 47)
+	rec, err := NewRecommender(g, WithEpsilon(1), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	targets := serveableTargets(t, rec, g, 8)
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 100; i++ { // warm every pool
+		if _, err := rec.RecommendWithRNG(targets[i%len(targets)], rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(500, func() {
+		_, _ = rec.RecommendWithRNG(targets[i%len(targets)], rng)
+		i++
+	})
+	if allocs > 1 {
+		t.Fatalf("uncached Recommend allocates %.2f/op in steady state; want <= 1", allocs)
+	}
+}
+
+// serveableTargets returns up to want targets with at least one
+// positive-utility candidate.
+func serveableTargets(t *testing.T, rec *Recommender, g *Graph, want int) []int {
+	t.Helper()
+	var targets []int
+	rng := distribution.SplitN(1, "probe", 0)
+	for v := 0; v < g.NumNodes() && len(targets) < want; v++ {
+		if _, err := rec.RecommendWithRNG(v, rng); err == nil {
+			targets = append(targets, v)
+		}
+	}
+	if len(targets) == 0 {
+		t.Fatal("no serveable targets in fixture graph")
+	}
+	return targets
 }

@@ -39,13 +39,11 @@ func (r *Recommender) RecommendTopKWithRNG(target, k int, rng *rand.Rand) ([]Rec
 
 func (r *Recommender) recommendTopK(target, k int, rng *rand.Rand) ([]Recommendation, error) {
 	st := r.state.Load()
-	if out, ok, err := r.recommendTopKStreaming(st, target, k, rng); ok {
-		return out, err
-	}
 	cv, err := r.vector(st, target)
 	if err != nil {
 		return nil, err
 	}
+	defer cv.release()
 	if k < 1 || k > cv.ncand {
 		return nil, fmt.Errorf("socialrec: k=%d outside [1, %d] for node %d", k, cv.ncand, target)
 	}

@@ -2,6 +2,8 @@ package socialrec
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"socialrec/internal/distribution"
@@ -132,22 +134,45 @@ func TestRecommendTopKWithRNG(t *testing.T) {
 }
 
 // TestRecommenderConcurrentUse exercises the documented concurrency safety
-// of a constructed Recommender under the race detector.
+// of a constructed Recommender under the race detector. Without a cache
+// every request borrows pooled kernel scratch, so concurrent requests must
+// still reproduce the sequential answers exactly: a support read after its
+// release would pick up another request's utilities.
 func TestRecommenderConcurrentUse(t *testing.T) {
 	g := topKGraph(t)
 	r, err := NewRecommender(g, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	type answer struct {
+		rec  Recommendation
+		topK []Recommendation
+		err  error
+	}
+	serve := func(target int) answer {
+		rec, err := r.Recommend(target)
+		if err != nil {
+			return answer{err: err}
+		}
+		topK, err := r.RecommendTopK(target, 3)
+		return answer{rec: rec, topK: topK, err: err}
+	}
+	want := make([]answer, g.NumNodes())
+	for target := range want {
+		want[target] = serve(target)
+	}
 	done := make(chan error, 8)
 	for w := 0; w < 8; w++ {
 		w := w
 		go func() {
-			for target := w; target < g.NumNodes(); target += 8 {
-				if _, err := r.Recommend(target); err != nil &&
-					!errors.Is(err, ErrNoCandidates) {
-					done <- err
-					return
+			for round := 0; round < 4; round++ {
+				for target := w; target < g.NumNodes(); target += 8 {
+					got := serve(target)
+					if (got.err == nil) != (want[target].err == nil) || got.rec != want[target].rec ||
+						!slices.Equal(got.topK, want[target].topK) {
+						done <- fmt.Errorf("target %d: concurrent %+v, sequential %+v", target, got, want[target])
+						return
+					}
 				}
 			}
 			done <- nil
