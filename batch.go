@@ -1,10 +1,6 @@
 package socialrec
 
-import (
-	"sync/atomic"
-
-	"socialrec/internal/par"
-)
+import "socialrec/internal/par"
 
 // Batch serving: experiment sweeps, offline evaluation, and cache warming
 // all evaluate many targets against the same immutable snapshot. Two
@@ -236,10 +232,12 @@ func (a *Accountant) BatchRecommendTopK(targets []int, k int) []BatchTopKResult 
 // (duplicate targets are computed at most once). It releases nothing (no
 // mechanism draw happens), so it costs no privacy budget, and it does not
 // touch the cache's hit/miss counters — /healthz hit rates keep reflecting
-// serving traffic only. The return value is the number of targets now
-// cached, counting each distinct target once and counting negative entries
-// for hopeless targets; it is 0 when no cache is enabled (enable one with
-// WithCache or EnableCache first).
+// serving traffic only. The return value is the number of the given targets
+// cached when the call returns, counting each distinct target once and
+// counting negative entries for hopeless targets; targets the LRU evicted
+// during the call (more targets than the cache holds) are not counted. It
+// is 0 when no cache is enabled (enable one with WithCache or EnableCache
+// first).
 func (r *Recommender) Precompute(targets []int) int {
 	c := r.cache.Load()
 	if c == nil {
@@ -247,26 +245,24 @@ func (r *Recommender) Precompute(targets []int) int {
 	}
 	uniq, _ := dedupTargets(targets)
 	st := r.state.Load()
-	var warmed atomic.Int64
 	par.ForEachChunked(len(uniq), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			target := uniq[i]
-			if target < 0 || target >= st.snap.NumNodes() {
-				continue
-			}
-			if c.contains(st.epoch, target) {
-				warmed.Add(1)
+			if target < 0 || target >= st.snap.NumNodes() || c.contains(st.epoch, target) {
 				continue
 			}
 			// computeShared routes through the coalescer (sans deadline wait)
 			// when one is enabled, so warming a target a live request is
 			// already computing shares that work instead of duplicating it;
 			// the shared path also writes the cache entry.
-			if _, err := r.computeShared(st, c, target, true); err != nil {
-				continue
-			}
-			warmed.Add(1)
+			_, _ = r.computeShared(st, c, target, true)
 		}
 	})
-	return int(warmed.Load())
+	cached := 0
+	for _, target := range uniq {
+		if c.contains(st.epoch, target) {
+			cached++
+		}
+	}
+	return cached
 }

@@ -213,6 +213,27 @@ func TestPrecomputeWarmsCache(t *testing.T) {
 	if warmed := noCache.Precompute(targets); warmed != 0 {
 		t.Errorf("Precompute without a cache warmed %d", warmed)
 	}
+
+	// More targets than the cache holds: the LRU evicts during the call, and
+	// the return value counts only what is still cached.
+	all := make([]int, 300)
+	for i := range all {
+		all[i] = i
+	}
+	for _, size := range []int{16, 1} {
+		small, err := NewRecommender(g, WithCache(size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		warmed := small.Precompute(all)
+		st, _ := small.CacheStats()
+		if warmed != st.Entries {
+			t.Errorf("WithCache(%d): Precompute returned %d, but %d entries are cached", size, warmed, st.Entries)
+		}
+		if st.Hits != 0 || st.Misses != 0 {
+			t.Errorf("WithCache(%d): Precompute touched hit/miss counters: %+v", size, st)
+		}
+	}
 }
 
 // TestConcurrentCachedRecommender hammers one cached Recommender from many

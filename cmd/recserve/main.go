@@ -118,7 +118,6 @@ func main() {
 		cache     = flag.Int("cache", socialrec.DefaultCacheSize, "utility-vector cache entries (0 disables caching)")
 		coalesce  = flag.Duration("coalesce-window", 0, "deadline window for coalescing concurrent same-target requests; they share one pre-noise computation but draw independent noise (0 disables)")
 		live      = flag.Bool("live", false, "accept streaming graph mutations (POST /edges, DELETE /edges, POST /nodes)")
-		deltaInv  = flag.Bool("delta-invalidation", false, "retain cached utility vectors a rebuild's delta batch provably did not touch, instead of flushing the cache at every snapshot swap (with -live and -cache)")
 		interval  = flag.Duration("rebuild-interval", socialrec.DefaultRebuildInterval, "debounce interval for folding mutations into the serving snapshot (with -live)")
 		maxPend   = flag.Int("max-pending", socialrec.DefaultMaxPendingDeltas, "pending mutations that force an immediate snapshot rebuild (with -live)")
 		persist   = flag.String("persist-snapshot", "", "atomically persist every swapped snapshot to this .srsnap path (with -live)")
@@ -172,9 +171,6 @@ func main() {
 			socialrec.WithRebuildInterval(*interval),
 			socialrec.WithMaxPendingDeltas(*maxPend),
 		)
-	}
-	if *deltaInv {
-		opts = append(opts, socialrec.WithDeltaInvalidation())
 	}
 	if *persist != "" {
 		opts = append(opts, socialrec.WithSnapshotPersist(*persist))

@@ -247,29 +247,36 @@
 //
 // # Cache invalidation
 //
-// By default every snapshot swap flushes the utility-vector cache: the
-// epoch bump orphans all entries, so a live graph under steady mutation
-// traffic serves almost entirely uncached. WithDeltaInvalidation replaces
-// the flush with delta-aware retention built on two pieces:
+// A snapshot swap bumps the cache epoch, and a naive swap would orphan
+// every entry, so a live graph under steady mutation traffic would serve
+// almost entirely uncached. Instead every live rebuild of a cached
+// Recommender retains the entries its delta batch provably did not touch.
 //
-// A reverse dependency index. Each cache insertion registers the entry's
-// dependency closure — the target, its out-neighbors, and its nonzero
-// support (exactly the skip table the entry already carries) — under the
-// cached target, maintained incrementally on insert, evict, and replace.
+// Retention rests on a per-utility invalidation radius. A utility declares
+// locality by implementing InvalidationRadius() int (utility.Localized):
+// radius ρ promises its output for target r is fully determined by r's
+// ρ-hop out-ball. CommonNeighbors and Jaccard declare 2, WeightedPaths
+// declares its path-length truncation (3 by default). At each live
+// rebuild, the drained delta batch's endpoints are expanded ρ reverse-BFS
+// hops over the post-patch graph. This equals their reverse ρ-ball in the
+// union of the pre- and post-patch graphs, which holds every target the
+// batch could change: an edge the batch removed has delta endpoints at both
+// ends, so a shortest path through the union never needs it, and an edge
+// the batch added (possibly pulling a node into a previously empty support)
+// is in the post-patch graph. Entries whose target falls in that reverse
+// ρ-ball are dropped; every other entry is re-keyed to the new epoch in
+// place and keeps serving. CacheStats.Retained / .Invalidated
+// (and /healthz) count both outcomes.
 //
-// A per-utility invalidation radius. A utility declares locality by
-// implementing InvalidationRadius() int (utility.Localized): radius ρ
-// promises its output for target r is fully determined by r's ρ-hop
-// out-ball. CommonNeighbors and Jaccard declare 2, WeightedPaths declares
-// its path-length truncation (3 by default). At each live rebuild, the
-// drained delta batch's endpoints are expanded ρ reverse-BFS hops over the
-// union of the pre- and post-patch adjacency — both graphs, because an edge
-// add can pull a node into a support that was previously empty, and an edge
-// removal can orphan one. Entries whose target falls in that expanded set,
-// or whose registered closure contains a raw delta endpoint, are dropped;
-// every other entry is re-keyed to the new epoch in place and keeps
-// serving. CacheStats.Retained / .Invalidated (and /healthz) count both
-// outcomes.
+// No reverse dependency index is kept: an entry's closure — the target,
+// its out-neighbors and its support — lies inside the target's ρ-out-ball,
+// so a delta endpoint in the closure already places the target in the
+// endpoint's reverse ρ-ball. The swap costs one reverse BFS from the delta
+// endpoints (at most one pass over the post-patch in-edges, marking one bit
+// per node) plus one sweep of the cache, and cache inserts and evictions
+// pay nothing for it. On a heavy-tailed graph a few random edges near hubs
+// can reach most of the graph within ρ hops, so little is retained there;
+// the BFS keeps that case cheap rather than avoiding it.
 //
 // The conservative fallback: retention only happens when it is provably
 // bit-exact. The swap flushes everything when the utility declares no

@@ -41,10 +41,9 @@
 // the cache. Cached utilities are raw, non-private values; they live only
 // in process memory and are never serialized into any response. Cache
 // hit/miss counters are exported on /healthz for monitoring, alongside the
-// cumulative retained/invalidated swap counters: with delta-aware
-// invalidation (socialrec.WithDeltaInvalidation, recserve
-// -delta-invalidation) a live rebuild carries provably-untouched entries
-// across the epoch bump instead of flushing the cache, and these gauges
+// cumulative retained/invalidated swap counters: a live rebuild carries
+// provably-untouched entries across the epoch bump instead of flushing the
+// cache (delta-aware invalidation, see socialrec's doc), and these gauges
 // show how much of the working set each swap preserved.
 //
 // Live mutations: when the Recommender is built with live mutations

@@ -25,11 +25,14 @@ import (
 // identical edge-for-edge and the recomputed entry — idx, val, umax, skip,
 // and (given an unchanged candidate count, Δf, and smoothing x) the CDF —
 // is bit-identical, because the kernels are deterministic scans of exactly
-// that ball. So the affected set is the reverse ρ-hop ball of the delta
-// endpoints, grown by following in-edges on BOTH stores: an edge add can
-// pull a node into a support that was previously empty (the new store's
-// in-edges find it), and an edge removal can orphan one (the old store's
-// in-edges find it).
+// that ball. So it suffices to drop the reverse ρ-hop ball of the delta
+// endpoints over the union of G and G' (which contains both per-graph
+// balls). Following the in-edges of G' alone yields exactly that ball: an
+// edge of G missing from G' was removed by the batch, so both its
+// endpoints are delta endpoints themselves, and a shortest union path from
+// r to the endpoint set therefore never uses one (it would reach an
+// endpoint earlier). An edge add that pulls a node into a previously empty
+// support is an edge of G', so its in-edges find it.
 //
 // Two conditions void the ball argument entirely and force a full flush:
 // node additions (the candidate count n-1-d(r) of EVERY target changes, and
@@ -44,30 +47,10 @@ import (
 // privacy-bearing noise is still drawn fresh per request; no randomness and
 // no released output ever crosses a snapshot boundary.
 
-// affectedSet is what one drained delta batch may have touched, handed to
-// vectorCache.advance at swap time.
-type affectedSet struct {
-	// seeds are the raw endpoints of the batch's edge deltas. advance dooms
-	// every target whose registered dependency closure contains one: the
-	// closure (skip = target ∪ out-neighbors ∪ support) spans the declared
-	// radius, so this is the precise "did the batch touch my ball" test for
-	// entries whose registration is current.
-	seeds map[int32]struct{}
-	// touched is seeds expanded by radius reverse-BFS hops over the union
-	// of the pre- and post-patch adjacency. advance dooms every target in
-	// it, covering entries whose support the batch created from nothing —
-	// an empty closure registers almost nothing, so the closure test alone
-	// would miss them.
-	touched map[int32]struct{}
-}
-
 // retentionRadius returns the serving utility's declared invalidation
 // radius, or 0 when the cache must fall back to full flushes (utility not
-// Localized, or delta invalidation not enabled).
+// Localized).
 func (r *Recommender) retentionRadius() int {
-	if !r.deltaInval {
-		return 0
-	}
 	lu, ok := r.util.(utility.Localized)
 	if !ok {
 		return 0
@@ -78,15 +61,23 @@ func (r *Recommender) retentionRadius() int {
 	return 0
 }
 
-// affectedByBatch computes the affectedSet for one drained batch, or nil
-// when the swap must flush everything:
+// affectedByBatch returns the set of targets one drained delta batch may
+// have touched — the batch's edge endpoints expanded radius reverse-BFS
+// hops over the post-patch adjacency, one bit per node — for
+// vectorCache.advance, which drops every cached target in it and re-keys
+// the rest. No per-entry dependency bookkeeping is needed: an entry's
+// closure (skip = target ∪ out-neighbors ∪ support) lies inside the
+// target's ρ-out-ball, so any delta endpoint in the closure puts the target
+// in that endpoint's reverse ρ-ball — already in the set.
 //
-//   - delta invalidation disabled, or the utility declares no radius;
+// It returns nil, meaning the swap must flush everything, when:
+//
+//   - the utility declares no radius;
 //   - basisLost: a previous rebuild drained deltas but failed to install a
 //     snapshot, so this batch is not the complete diff between cur and next;
 //   - the batch adds a node (every entry's candidate count changes);
 //   - Δf or the smoothing x changed across the swap (baked into CDFs).
-func (r *Recommender) affectedByBatch(cur, next *snapState, deltas []graph.Delta, basisLost bool) *affectedSet {
+func (r *Recommender) affectedByBatch(cur, next *snapState, deltas []graph.Delta, basisLost bool) bitset {
 	radius := r.retentionRadius()
 	if radius == 0 || basisLost {
 		return nil
@@ -94,19 +85,17 @@ func (r *Recommender) affectedByBatch(cur, next *snapState, deltas []graph.Delta
 	if next.sens != cur.sens || next.x != cur.x {
 		return nil
 	}
-	for _, d := range deltas {
-		if d.Op == graph.DeltaAddNode {
-			return nil
-		}
+	// Nodes are never removed, so a changed node count means the batch
+	// added one.
+	n := next.snap.NumNodes()
+	if cur.snap.NumNodes() != n {
+		return nil
 	}
-	aff := &affectedSet{
-		seeds:   make(map[int32]struct{}, 2*len(deltas)),
-		touched: make(map[int32]struct{}, 8*len(deltas)),
-	}
+	aff := newBitset(n)
 	frontier := make([]int32, 0, 2*len(deltas))
 	mark := func(v int32) {
-		if _, ok := aff.touched[v]; !ok {
-			aff.touched[v] = struct{}{}
+		if !aff.has(int(v)) {
+			aff.set(int(v))
 			frontier = append(frontier, v)
 		}
 	}
@@ -114,27 +103,17 @@ func (r *Recommender) affectedByBatch(cur, next *snapState, deltas []graph.Delta
 		mark(int32(d.From))
 		mark(int32(d.To))
 	}
-	for v := range aff.touched {
-		aff.seeds[v] = struct{}{}
-	}
-	// Reverse BFS: a target is affected when a seed lies within radius
-	// out-hops of it, so the touched set is grown by following in-edges
-	// from the seeds. Expanding over both stores at every level covers any
-	// mix of pre-only and post-only edges — a superset of the two per-graph
-	// balls, conservative in the right direction. (On undirected graphs
-	// In == Out and this is the plain neighborhood ball.)
-	stores := [2]graph.Store{cur.snap, next.snap}
+	// Reverse BFS: a target is affected when a delta endpoint lies within
+	// radius out-hops of it, so the set is grown by following in-edges from
+	// the endpoints. The post-patch store suffices (see the file comment);
+	// on undirected graphs In == Out and this is the plain neighborhood
+	// ball.
 	for hop := 0; hop < radius && len(frontier) > 0; hop++ {
 		level := frontier
 		frontier = nil
 		for _, v := range level {
-			for _, st := range stores {
-				if int(v) >= st.NumNodes() {
-					continue
-				}
-				for _, u := range st.In(int(v)) {
-					mark(u)
-				}
+			for _, u := range next.snap.In(int(v)) {
+				mark(u)
 			}
 		}
 	}

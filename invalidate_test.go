@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"socialrec/internal/graph"
 )
 
 // equalCachedVector reports field-wise bit-identity of two pre-processing
@@ -156,46 +158,237 @@ func TestAddNodeErrorReturnsInvalidID(t *testing.T) {
 }
 
 // TestCacheRetentionAcrossRebuild is the deterministic retention property
-// test: warm the whole cache, churn edges, rebuild, and assert (a) every
-// entry at the new epoch is bit-identical to a fresh recompute and (b)
-// retention actually happens (the sweep is not just a disguised flush).
+// test, one case per radius-declaring utility on an undirected and a
+// directed graph: warm the whole cache, churn edges, rebuild, and assert
+// (a) every entry at the new epoch is bit-identical to a fresh recompute
+// and (b) the retention decisions are exactly the pinned counts, so the
+// sweep is neither a disguised flush nor drifting in what it keeps.
 func TestCacheRetentionAcrossRebuild(t *testing.T) {
 	const n = 3000
-	g, err := GenerateSocialGraph(n, 9000, 5)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name        string
+		util        UtilityFunction
+		directed    bool
+		retained    uint64
+		invalidated uint64
+	}{
+		{"common-neighbors/undirected", CommonNeighbors(), false, 20286, 4496},
+		{"common-neighbors/directed", CommonNeighbors(), true, 56029, 575},
+		{"jaccard/undirected", JaccardUtility(), false, 20286, 4496},
+		{"jaccard/directed", JaccardUtility(), true, 56029, 575},
+		{"weighted-paths/undirected", WeightedPaths(0.05), false, 4715, 6160},
+		{"weighted-paths/directed", WeightedPaths(0.05), true, 55653, 620},
 	}
-	rec, err := NewRecommender(g, WithSeed(3),
-		WithRebuildInterval(time.Hour), // only explicit Rebuild swaps
-		WithMaxPendingDeltas(1<<30),
-		WithCache(n),
-		WithDeltaInvalidation())
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			gen := GenerateSocialGraph
+			if tc.directed {
+				gen = GenerateFollowerGraph
+			}
+			g, err := gen(n, 9000, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := NewRecommender(g, WithSeed(3),
+				WithUtility(tc.util),
+				WithRebuildInterval(time.Hour), // only explicit Rebuild swaps
+				WithMaxPendingDeltas(1<<30),
+				WithCache(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rec.Close()
+			for target := 0; target < n; target++ {
+				_, _ = rec.Recommend(target) // hopeless targets cache negatives
+			}
+			rng := rand.New(rand.NewSource(42))
+			for round := 0; round < 20; round++ {
+				for i, muts := 0, 1+rng.Intn(8); i < muts; i++ {
+					mutateOnce(t, rec, rng, n)
+				}
+				if err := rec.Rebuild(); err != nil {
+					t.Fatal(err)
+				}
+				verifyRetainedEntries(t, rec)
+				for i := 0; i < 200; i++ { // keep the cache populated
+					_, _ = rec.Recommend(rng.Intn(n))
+				}
+			}
+			st, _ := rec.CacheStats()
+			if st.Retained != tc.retained || st.Invalidated != tc.invalidated {
+				t.Fatalf("retained %d, invalidated %d across 20 rebuilds; want %d, %d",
+					st.Retained, st.Invalidated, tc.retained, tc.invalidated)
+			}
+		})
 	}
-	defer rec.Close()
-	for target := 0; target < n; target++ {
-		_, _ = rec.Recommend(target) // hopeless targets cache negatives
+}
+
+// TestNonLocalUtilityFlushesOnLiveSwap: a utility that declares no
+// invalidation radius (Degree scores every node, PageRank propagates mass
+// globally) gives no ball to retain outside, so a live rebuild must flush
+// the whole cache even for a single-edge batch.
+func TestNonLocalUtilityFlushesOnLiveSwap(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		util UtilityFunction
+	}{
+		{"degree", DegreeUtility()},
+		{"pagerank", PersonalizedPageRank(0.15)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 300
+			g, err := GenerateSocialGraph(n, 900, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := NewRecommender(g, WithSeed(3),
+				WithUtility(tc.util),
+				WithRebuildInterval(time.Hour),
+				WithMaxPendingDeltas(1<<30),
+				WithCache(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rec.Close()
+			for target := 0; target < 100; target++ {
+				_, _ = rec.Recommend(target)
+			}
+			before, _ := rec.CacheStats()
+			if before.Entries == 0 {
+				t.Fatal("warmup cached nothing")
+			}
+			u, v := 0, n-1
+			if err := rec.AddEdge(u, v); errors.Is(err, ErrDuplicateEdge) {
+				err = rec.RemoveEdge(u, v)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rec.Rebuild(); err != nil {
+				t.Fatal(err)
+			}
+			after, _ := rec.CacheStats()
+			if after.Retained != 0 || after.Entries != 0 || after.Invalidated != uint64(before.Entries) {
+				t.Fatalf("after rebuild: retained %d, entries %d, invalidated %d; want 0, 0, %d",
+					after.Retained, after.Entries, after.Invalidated, before.Entries)
+			}
+		})
 	}
-	rng := rand.New(rand.NewSource(42))
-	for round := 0; round < 20; round++ {
-		for i, muts := 0, 1+rng.Intn(8); i < muts; i++ {
-			mutateOnce(t, rec, rng, n)
+}
+
+// TestAffectedSetIsUnionBall: the reverse BFS runs over the post-patch
+// graph only, and must still mark exactly the targets within radius
+// out-hops of a delta endpoint in the union of the pre- and post-patch
+// graphs. The reference walks every target's out-ball over that union.
+// Batches mix adds and removes, so removed edges matter in the reference.
+func TestAffectedSetIsUnionBall(t *testing.T) {
+	const n = 400
+	for _, tc := range []struct {
+		name     string
+		util     UtilityFunction
+		directed bool
+	}{
+		{"common-neighbors/undirected", CommonNeighbors(), false},
+		{"common-neighbors/directed", CommonNeighbors(), true},
+		{"weighted-paths/directed", WeightedPaths(0.05), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gen := GenerateSocialGraph
+			if tc.directed {
+				gen = GenerateFollowerGraph
+			}
+			g, err := gen(n, 1200, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := NewRecommender(g, WithSeed(3),
+				WithUtility(tc.util),
+				WithRebuildInterval(time.Hour),
+				WithMaxPendingDeltas(1<<30),
+				WithCache(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rec.Close()
+			radius := rec.retentionRadius()
+			rng := rand.New(rand.NewSource(9))
+			compared := 0
+			for round := 0; round < 30; round++ {
+				cur := rec.state.Load()
+				var deltas []graph.Delta
+				for len(deltas) < 1+rng.Intn(4) {
+					u, v := rng.Intn(n), rng.Intn(n)
+					if u == v {
+						continue
+					}
+					op := graph.DeltaAddEdge
+					err := rec.AddEdge(u, v)
+					if errors.Is(err, ErrDuplicateEdge) {
+						op, err = graph.DeltaRemoveEdge, rec.RemoveEdge(u, v)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					deltas = append(deltas, graph.Delta{Op: op, From: u, To: v})
+				}
+				if err := rec.Rebuild(); err != nil {
+					t.Fatal(err)
+				}
+				next := rec.state.Load()
+				got := rec.affectedByBatch(cur, next, deltas, false)
+				if got == nil {
+					// Only a changed Δf or smoothing x may flush an edge-only
+					// batch (WeightedPaths' Δf follows the max degree).
+					if next.sens == cur.sens && next.x == cur.x {
+						t.Fatalf("round %d: edge-only batch flushed", round)
+					}
+					continue
+				}
+				compared++
+				seeds := map[int]bool{}
+				for _, d := range deltas {
+					seeds[d.From], seeds[d.To] = true, true
+				}
+				for target := 0; target < n; target++ {
+					if want := unionBallHits(cur, next, target, radius, seeds); got.has(target) != want {
+						t.Fatalf("round %d target %d: affected %v, want %v (deltas %v)",
+							round, target, got.has(target), want, deltas)
+					}
+				}
+			}
+			if compared < 10 {
+				t.Fatalf("only %d of 30 batches kept their delta information", compared)
+			}
+		})
+	}
+}
+
+// unionBallHits reports whether a seed lies within radius out-hops of
+// target over the union of cur's and next's edges.
+func unionBallHits(cur, next *snapState, target, radius int, seeds map[int]bool) bool {
+	seen := map[int]bool{target: true}
+	level := []int{target}
+	for hop := 0; ; hop++ {
+		for _, v := range level {
+			if seeds[v] {
+				return true
+			}
 		}
-		if err := rec.Rebuild(); err != nil {
-			t.Fatal(err)
+		if hop == radius {
+			return false
 		}
-		verifyRetainedEntries(t, rec)
-		for i := 0; i < 200; i++ { // keep the cache populated
-			_, _ = rec.Recommend(rng.Intn(n))
+		var frontier []int
+		for _, v := range level {
+			for _, st := range []*snapState{cur, next} {
+				for _, u := range st.snap.Out(v) {
+					if !seen[int(u)] {
+						seen[int(u)] = true
+						frontier = append(frontier, int(u))
+					}
+				}
+			}
 		}
-	}
-	st, _ := rec.CacheStats()
-	if st.Retained == 0 {
-		t.Fatal("delta invalidation retained nothing across 20 rebuilds")
-	}
-	if st.Invalidated == 0 {
-		t.Fatal("delta invalidation invalidated nothing across 20 rebuilds of edge churn")
+		level = frontier
 	}
 }
 
@@ -216,8 +409,7 @@ func TestCacheRetentionHammer(t *testing.T) {
 	rec, err := NewRecommender(g, WithSeed(7),
 		WithRebuildInterval(time.Hour),
 		WithMaxPendingDeltas(1<<30),
-		WithCache(1024),
-		WithDeltaInvalidation())
+		WithCache(1024))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,8 +479,7 @@ func FuzzCacheRetention(f *testing.F) {
 		rec, err := NewRecommender(g, WithSeed(5),
 			WithRebuildInterval(time.Hour),
 			WithMaxPendingDeltas(1<<30),
-			WithCache(64),
-			WithDeltaInvalidation())
+			WithCache(64))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -277,10 +277,9 @@ func TestLiveHammer(t *testing.T) {
 	rec, err := NewRecommender(g, WithSeed(11),
 		WithRebuildInterval(2*time.Millisecond),
 		WithMaxPendingDeltas(32),
-		WithCache(512),
 		// Delta-aware retention runs under the full concurrent hammer; the
 		// final bit-identity sweep below would catch any stale carried entry.
-		WithDeltaInvalidation())
+		WithCache(512))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,10 @@ func WithSeed(seed int64) Option {
 // (DefaultCacheSize when size <= 0). The cache memoizes the deterministic
 // pre-noise stage of serving and leaves every mechanism's output
 // distribution — and therefore the ε-DP guarantee — unchanged; see
-// Recommender.EnableCache.
+// Recommender.EnableCache. With WithLiveMutations, each rebuild keeps the
+// entries its delta batch provably did not touch and drops the rest
+// (delta-aware invalidation, see invalidate.go); swaps without usable delta
+// information flush the cache.
 func WithCache(size int) Option {
 	return func(r *Recommender) error {
 		if size <= 0 {
@@ -82,24 +85,6 @@ func WithCoalescing(window time.Duration) Option {
 			window = DefaultCoalesceWindow
 		}
 		r.pendingCoalesce = window
-		return nil
-	}
-}
-
-// WithDeltaInvalidation makes snapshot swaps retain cached utility vectors
-// that the swap's delta batch provably did not touch, instead of flushing
-// the whole cache: entries register their dependency closure in a reverse
-// index, and each live Rebuild re-keys every entry whose target lies
-// outside the batch's radius-expanded touched set to the new epoch (see
-// invalidate.go for the correctness and DP-safety argument). Retention
-// requires the serving utility to declare an invalidation radius
-// (utility.Localized — CommonNeighbors, Jaccard, and WeightedPaths do);
-// otherwise, and on node additions, Δf changes, or RefreshSnapshot with an
-// unrelated graph, the swap conservatively flushes everything. Meaningful
-// only together with WithCache and WithLiveMutations. Off by default.
-func WithDeltaInvalidation() Option {
-	return func(r *Recommender) error {
-		r.deltaInval = true
 		return nil
 	}
 }

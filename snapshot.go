@@ -153,10 +153,9 @@ func (s *Snapshot) Close() error {
 // Recommender's lifetime (prefer NewRecommender(nil, WithSnapshotFile(...))
 // to make the Recommender own it). Live mutations work: the mutable basis
 // is materialized from the snapshot, and subsequent rebuilds serve from
-// heap overlays — with WithDeltaInvalidation, each rebuild's delta batch
-// drives cache retention across the swap exactly as for an in-memory
-// construction graph (the reverse-BFS walks the mapped store's in-edge
-// spans zero-copy).
+// heap overlays — each rebuild's delta batch drives cache retention across
+// the swap exactly as for an in-memory construction graph (the reverse-BFS
+// walks the mapped store's in-edge spans zero-copy).
 func NewRecommenderFromSnapshot(snap *Snapshot, opts ...Option) (*Recommender, error) {
 	if snap == nil {
 		return nil, ErrNilGraph

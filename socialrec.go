@@ -155,10 +155,6 @@ type Recommender struct {
 	// drawSeq numbers the per-request RNG streams RequestRNG hands out.
 	drawSeq atomic.Uint64
 
-	// deltaInval enables delta-aware cache invalidation across live
-	// snapshot swaps (WithDeltaInvalidation); see invalidate.go.
-	deltaInval bool
-
 	// live is non-nil when the Recommender retains a mutable copy of its
 	// graph for streaming mutations; see live.go.
 	live *liveState
@@ -458,7 +454,7 @@ func (r *Recommender) RefreshSnapshot(g *Graph) error {
 // recommendation; it only skips recomputation of the deterministic
 // pre-noise stage.
 func (r *Recommender) EnableCache(size int) {
-	r.cache.CompareAndSwap(nil, newVectorCache(size, r.deltaInval))
+	r.cache.CompareAndSwap(nil, newVectorCache(size))
 }
 
 // CacheStats returns a snapshot of the utility-vector cache's counters. The
