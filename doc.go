@@ -111,7 +111,11 @@
 // releasing. Steady-state uncached serving therefore allocates nothing
 // per request (an AllocsPerRun test and the CI escape-analysis guard pin
 // this), and the per-pool get/put/new counters on /healthz make a leak
-// (news tracking gets) observable in production.
+// (news tracking gets) observable in production. The exponential
+// mechanism's level table (see "Serving complexity") is a 4 KB array on
+// the drawing goroutine's stack, and the top-k peel's working copies of the
+// support come from a pooled mechanism.peel scratch, so neither adds heap
+// per request.
 //
 // Pooling is DP-safe because it is a pure refactor of the deterministic
 // pre-noise stage: the same kernel computes the same floats in the same
@@ -180,10 +184,10 @@
 //	rooted PageRank              O(iters·m)           O(iters·reached edges)
 //	degree                       O(n)                 O(n) scan, O(nnz) alloc
 //	candidate bookkeeping        O(n) list            O(1) count + O(d_r+nnz) table
-//	Exponential draw             O(n)                 O(nnz); O(log nnz) cached
+//	Exponential draw             O(n) exps            O(nnz) reads + O(u_max) exps; O(log nnz) cached
 //	Laplace / noisy-max draw     O(n) noise           O(nnz) + 1 closed-form tail max
 //	Smoothing draw               O(n)                 O(nnz)
-//	top-k release                O(n log k) / O(k·n)  O(nnz + k) / O(k·nnz)
+//	top-k release                O(n log k) / O(k·n)  O(nnz + k) / O(k·nnz) reads
 //	expected accuracy (audit)    O(n)                 O(nnz)
 //	cache entry memory           ~24n bytes           ~25·nnz + 4·d_r bytes
 //
@@ -196,6 +200,25 @@
 // Laplace variates via U^{1/m}, the max of m Gumbels via ln m + Gumbel). A
 // winning tail rank maps back to a node ID by an O(log) order-statistic
 // lookup over the target's exclusion table.
+//
+// The sparse Exponential and top-k rows count level-table reads, which
+// integer utilities get. Every weight loop of the Definition 5 mechanism
+// (the uncached draw, the cache fill's CDF, each round of the top-k peel,
+// the closed-form probabilities) computes exp((ε/Δf)·(l-u_max)) once per
+// utility level l and reads it from a level table per entry, when every
+// utility is a non-negative integer and u_max lies below both 512 and
+// nnz. CommonNeighbors qualifies on sparse graphs (on perfbench's
+// GenerateSocialGraph(7115, 100762, 1) every target does: median u_max 6
+// over 1813 nonzeros, largest u_max 240), and Degree does while its
+// largest out-degree stays below 512. WeightedPaths, Jaccard and PageRank
+// produce fractional utilities and run the plain loop with one exp per
+// entry, as does any vector whose u_max is too large. The table changes
+// no output: an integer utility x is exactly float64(l) at its level l, so
+// the table entry is the very expression the per-entry loop evaluates, and
+// every weight, prefix sum and pick is bit-identical. The peel builds its
+// CDF once and then re-accumulates only the suffix from the slot each
+// round removed; only taking an entry at u_max rescans the rest and
+// rebuilds the CDF (and the table, if u_max fell).
 //
 // Why sparsification preserves the DP guarantee: it is a pure pre-noise
 // refactor. The sparse kernels return bit-identical nonzero values to the

@@ -87,3 +87,69 @@ func BenchmarkMonteCarloAccuracy1000(b *testing.B) {
 		}
 	}
 }
+
+// benchSparse returns the two sparse shapes the exponential weight loops
+// see in serving, each with about 2400 nonzero utilities and a zero tail of
+// about 4700 candidates (a median perfbench target's support):
+//
+//   - common-neighbours: integer levels, most of them small (the count
+//     halves per level) with a maximum of 40, so the weights come from the
+//     level table;
+//   - weighted-paths: the same path counts plus γ=0.005 times a count of
+//     longer paths, so the values are fractional and every weight takes its
+//     own exp.
+func benchSparse() []struct {
+	name string
+	s    SparseVec
+} {
+	rng := distribution.NewRNG(7)
+	cn := make([]float64, 2400)
+	wp := make([]float64, len(cn))
+	for i := range cn {
+		l := 1
+		for l < 40 && rng.Intn(2) == 0 {
+			l++
+		}
+		cn[i] = float64(l)
+		wp[i] = float64(l) + 0.005*float64(rng.Intn(200))
+	}
+	cn[len(cn)/3], wp[len(wp)/3] = 40, 40.5
+	return []struct {
+		name string
+		s    SparseVec
+	}{
+		{"common-neighbours", SparseVec{Val: cn, N: len(cn) + 4700}},
+		{"weighted-paths", SparseVec{Val: wp, N: len(wp) + 4700}},
+	}
+}
+
+func BenchmarkExponentialRecommendSparse(b *testing.B) {
+	e := Exponential{Epsilon: 1, Sensitivity: 2}
+	for _, c := range benchSparse() {
+		b.Run(c.name, func(b *testing.B) {
+			rng := distribution.NewRNG(8)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.RecommendSparse(c.s, rng); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkTopKPeelSparse(b *testing.B) {
+	for _, c := range benchSparse() {
+		b.Run(c.name, func(b *testing.B) {
+			rng := distribution.NewRNG(9)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := TopKPeelSparse(1, 2, c.s, 5, rng); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

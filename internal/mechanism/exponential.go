@@ -2,7 +2,6 @@ package mechanism
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -43,43 +42,26 @@ func (e Exponential) Probabilities(u []float64) ([]float64, error) {
 	if err := validate(u); err != nil {
 		return nil, err
 	}
-	scale := e.Epsilon / e.Sensitivity
-	max := u[0]
-	for _, x := range u[1:] {
-		if x > max {
-			max = x
-		}
-	}
+	var lw levelWeights
+	lw.init(u, e.Epsilon/e.Sensitivity)
 	p := make([]float64, len(u))
-	var z float64
-	for i, x := range u {
-		w := math.Exp(scale * (x - max))
-		p[i] = w
-		z += w
-	}
+	z := lw.weights(p, u)
 	for i := range p {
 		p[i] /= z
 	}
 	return p, nil
 }
 
-// appendCDF appends the cumulative unnormalized exponential weights of u to
-// dst: cdf[i] = Σ_{j<=i} exp(scale·(u_j - u_max)). It is the single weight
-// loop behind Recommend and CDF, which must stay bit-identical for cached
-// CDF sampling to reproduce uncached draws exactly.
+// appendCDF writes the cumulative unnormalized exponential weights of u
+// into dst's storage (callers pass zero-length scratch):
+// cdf[i] = Σ_{j<=i} exp(scale·(u_j - u_max)), read from the level table
+// when u's values are small integer levels. It is the weight loop behind
+// Recommend and CDF, which must stay bit-identical for cached CDF sampling
+// to reproduce uncached draws exactly.
 func appendCDF(dst, u []float64, scale float64) []float64 {
-	max := u[0]
-	for _, x := range u[1:] {
-		if x > max {
-			max = x
-		}
-	}
-	var acc float64
-	for _, x := range u {
-		acc += math.Exp(scale * (x - max))
-		dst = append(dst, acc)
-	}
-	return dst
+	var lw levelWeights
+	lw.init(u, scale)
+	return lw.extendCDF(dst[:0], u)
 }
 
 // Recommend implements Mechanism by inverse-CDF sampling from the

@@ -12,6 +12,7 @@ package mechanism
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 )
 
@@ -19,6 +20,7 @@ import (
 var (
 	ErrEmpty        = errors.New("mechanism: empty utility vector")
 	ErrNegative     = errors.New("mechanism: negative utility")
+	ErrNotFinite    = errors.New("mechanism: utility is NaN or infinite")
 	ErrBadEpsilon   = errors.New("mechanism: epsilon must be positive")
 	ErrBadSens      = errors.New("mechanism: sensitivity must be positive")
 	ErrNoCandidates = errors.New("mechanism: all utilities are zero")
@@ -48,9 +50,19 @@ func validate(u []float64) error {
 	if len(u) == 0 {
 		return ErrEmpty
 	}
+	return checkUtilities(u)
+}
+
+// checkUtilities rejects negative, NaN and infinite utilities: every
+// mechanism's weights, noise and accuracy assume finite non-negative
+// scores, and a NaN would otherwise slip past every comparison.
+func checkUtilities(u []float64) error {
 	for _, x := range u {
 		if x < 0 {
 			return ErrNegative
+		}
+		if !(x <= math.MaxFloat64) {
+			return ErrNotFinite
 		}
 	}
 	return nil

@@ -70,6 +70,24 @@ func TestValidationErrors(t *testing.T) {
 		if _, err := m.Recommend([]float64{1, -2}, rng); !errors.Is(err, ErrNegative) {
 			t.Errorf("%s: negative utility: %v", m.Name(), err)
 		}
+		for _, x := range []float64{math.NaN(), math.Inf(1)} {
+			if _, err := m.Recommend([]float64{1, x, 2}, rng); !errors.Is(err, ErrNotFinite) {
+				t.Errorf("%s: utility %g: %v", m.Name(), x, err)
+			}
+			s := SparseVec{Val: []float64{1, x, 2}, N: 10}
+			if _, err := m.(SparseMechanism).RecommendSparse(s, rng); !errors.Is(err, ErrNotFinite) {
+				t.Errorf("%s: sparse utility %g: %v", m.Name(), x, err)
+			}
+		}
+	}
+	for _, x := range []float64{math.NaN(), math.Inf(1)} {
+		s := SparseVec{Val: []float64{1, x, 2}, N: 10}
+		if _, err := TopKPeelSparse(1, 1, s, 3, rng); !errors.Is(err, ErrNotFinite) {
+			t.Errorf("TopKPeelSparse: utility %g: %v", x, err)
+		}
+		if _, err := (Exponential{Epsilon: 1, Sensitivity: 1}).SparseCDF(s); !errors.Is(err, ErrNotFinite) {
+			t.Errorf("SparseCDF: utility %g: %v", x, err)
+		}
 	}
 }
 

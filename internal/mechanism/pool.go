@@ -24,3 +24,31 @@ func getScratch(n int) (*[]float64, []float64) {
 }
 
 func putScratch(p *[]float64) { scratchPool.Put(p) }
+
+// peelScratch is TopKPeelSparse's working set: the shrinking copy of the
+// support, the original index of each of its slots, the running CDF, and
+// the tail ranks taken so far.
+type peelScratch struct {
+	val, cdf []float64
+	alive    []int
+	chosen   []int
+}
+
+var peelPool = stream.NewPool("mechanism.peel", func() *peelScratch { return &peelScratch{} })
+
+// getPeelScratch returns pooled peel scratch loaded with a copy of val and
+// the identity slot map, with an empty CDF of capacity len(val) and an
+// empty tail list.
+func getPeelScratch(val []float64) *peelScratch {
+	ps := peelPool.Get()
+	ps.val = append(ps.val[:0], val...)
+	ps.alive = ps.alive[:0]
+	for i := range val {
+		ps.alive = append(ps.alive, i)
+	}
+	if cap(ps.cdf) < len(val) {
+		ps.cdf = make([]float64, 0, len(val))
+	}
+	ps.chosen = ps.chosen[:0]
+	return ps
+}

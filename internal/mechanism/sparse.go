@@ -38,12 +38,7 @@ func (s SparseVec) validate() error {
 	if len(s.Val) > s.N {
 		return fmt.Errorf("mechanism: sparse vector has %d nonzeros but only %d candidates", len(s.Val), s.N)
 	}
-	for _, x := range s.Val {
-		if x < 0 {
-			return ErrNegative
-		}
-	}
-	return nil
+	return checkUtilities(s.Val)
 }
 
 // tail returns the number of implicit zero-utility candidates.
@@ -140,15 +135,19 @@ func (c *SparseCDF) Bytes() int { return 8*len(c.Support) + 24 }
 // buildSparseCDF computes the cumulative support weights into dst (pooled
 // or freshly allocated by the caller) and fills the tail closed form.
 func buildSparseCDF(dst []float64, s SparseVec, scale float64) SparseCDF {
-	c := SparseCDF{Tail: s.tail()}
+	var lw levelWeights
+	umax := lw.init(s.Val, scale)
+	return sparseCDF(lw.extendCDF(dst[:0], s.Val), s.tail(), math.Exp(-scale*umax))
+}
+
+// sparseCDF completes a SparseCDF from the support's cumulative weights and
+// the tail's size and shared weight.
+func sparseCDF(support []float64, tail int, tailWeight float64) SparseCDF {
 	var zs float64
-	if len(s.Val) > 0 {
-		c.Support = appendCDF(dst, s.Val, scale)
-		zs = c.Support[len(c.Support)-1]
+	if len(support) > 0 {
+		zs = support[len(support)-1]
 	}
-	c.TailWeight = math.Exp(-scale * s.max())
-	c.Total = zs + float64(c.Tail)*c.TailWeight
-	return c
+	return SparseCDF{Support: support, TailWeight: tailWeight, Tail: tail, Total: zs + float64(tail)*tailWeight}
 }
 
 // SparseCDF returns the cacheable two-part CDF for the sparse vector.
@@ -209,7 +208,8 @@ func SampleSparseCDF(c *SparseCDF, rng *rand.Rand) Pick {
 // accumulation until it crosses the variate. The running prefix reproduces
 // SparseCDF.Support bit for bit, so the linear crossing finds the index the
 // binary search would: the draw is identical to SampleSparseCDF on
-// SparseCDF(s), in O(nnz) time and no scratch.
+// SparseCDF(s), in O(nnz) time and no scratch. Both passes read the
+// weights from one level table when the support's levels allow it.
 func (e Exponential) RecommendSparse(s SparseVec, rng *rand.Rand) (Pick, error) {
 	if err := e.validate(); err != nil {
 		return Pick{}, err
@@ -218,21 +218,15 @@ func (e Exponential) RecommendSparse(s SparseVec, rng *rand.Rand) (Pick, error) 
 		return Pick{}, err
 	}
 	scale := e.Epsilon / e.Sensitivity
-	umax := s.max()
-	var zs float64
-	for _, x := range s.Val {
-		zs += math.Exp(scale * (x - umax))
-	}
+	var lw levelWeights
+	umax := lw.init(s.Val, scale)
+	zs := lw.sum(s.Val)
 	tail := s.tail()
 	tw := math.Exp(-scale * umax)
 	target := rng.Float64() * (zs + float64(tail)*tw)
 	if target < zs {
-		var acc float64
-		for i, x := range s.Val {
-			acc += math.Exp(scale * (x - umax))
-			if acc > target {
-				return Pick{Support: i}, nil
-			}
+		if i := lw.crossing(s.Val, target); i < len(s.Val) {
+			return Pick{Support: i}, nil
 		}
 	}
 	if tail == 0 {
@@ -257,14 +251,10 @@ func (e Exponential) ProbabilitiesSparse(s SparseVec) ([]float64, float64, error
 		return nil, 0, err
 	}
 	scale := e.Epsilon / e.Sensitivity
-	umax := s.max()
+	var lw levelWeights
+	umax := lw.init(s.Val, scale)
 	support := make([]float64, len(s.Val))
-	var zs float64
-	for i, x := range s.Val {
-		w := math.Exp(scale * (x - umax))
-		support[i] = w
-		zs += w
-	}
+	zs := lw.weights(support, s.Val)
 	tailWeight := math.Exp(-scale * umax)
 	total := zs + float64(s.tail())*tailWeight
 	for i := range support {
@@ -492,13 +482,13 @@ func MonteCarloAccuracySparse(m SparseMechanism, s SparseVec, trials int, rng *r
 	return sum / (float64(trials) * umax), nil
 }
 
-// tailTracker maps ranks in the shrinking remaining tail to ranks in the
+// TailTracker maps ranks in the shrinking remaining tail to ranks in the
 // original tail as zero-utility candidates are drawn without replacement.
 type TailTracker struct {
 	chosen []int // original-tail ranks already taken, ascending
 }
 
-// take converts a rank among the not-yet-taken tail candidates to its
+// Take converts a rank among the not-yet-taken tail candidates to its
 // original-tail rank and records it.
 func (t *TailTracker) Take(rank int) int {
 	for _, c := range t.chosen {
@@ -609,6 +599,15 @@ func TopKLaplaceSparse(eps, sens float64, s SparseVec, k int, rng *rand.Rand) ([
 // swap-removed; tail picks shrink the implicit tail, with ranks remapped to
 // the original tail so the caller's candidate mapping stays fixed. Results
 // are in selection order with original-tail ranks.
+//
+// Each round is the draw SampleSparseCDF makes from SparseCDF over what
+// remains, in O(k·nnz) per release. The CDF is built once from the level
+// table and then kept: a tail pick leaves it as it is, and a support pick
+// re-accumulates only the suffix from the swap-removed slot on, because
+// the weights, and so the running sums below that slot, are unchanged. Only
+// taking an entry at u_max rescans what remains and rebuilds the CDF from
+// the start, with the table rebuilt if u_max fell. Working copies live in
+// pooled scratch; only the result slice is allocated.
 func TopKPeelSparse(eps, sens float64, s SparseVec, k int, rng *rand.Rand) ([]Pick, error) {
 	if !(eps > 0) {
 		return nil, ErrBadEpsilon
@@ -622,35 +621,36 @@ func TopKPeelSparse(eps, sens float64, s SparseVec, k int, rng *rand.Rand) ([]Pi
 	if k < 1 || k > s.N {
 		return nil, fmt.Errorf("mechanism: top-k k=%d outside [1, %d]", k, s.N)
 	}
-	// Each round is the Exponential{ε/k, Δf} draw over what remains, taken
-	// through a CDF in pooled scratch: one exp pass per round, where the
-	// scratch-free RecommendSparse spends up to two.
 	scale := eps / float64(k) / sens
-	handle, w := getScratch(len(s.Val))
-	defer putScratch(handle)
-	remaining := make([]float64, len(s.Val))
-	copy(remaining, s.Val)
-	alive := make([]int, len(s.Val)) // alive[i] = original support index at slot i
-	for i := range alive {
-		alive[i] = i
-	}
+	ps := getPeelScratch(s.Val)
+	defer peelPool.Put(ps)
+	remaining, alive := ps.val, ps.alive
+	taken := TailTracker{chosen: ps.chosen}
+	var lw levelWeights
+	umax := lw.init(remaining, scale)
+	cdf := lw.extendCDF(ps.cdf[:0], remaining)
 	m := s.tail()
-	var taken TailTracker
 	out := make([]Pick, 0, k)
 	for len(out) < k {
-		c := buildSparseCDF(w, SparseVec{Val: remaining, N: len(remaining) + m}, scale)
+		c := sparseCDF(cdf, m, math.Exp(-scale*umax))
 		pick := SampleSparseCDF(&c, rng)
 		if pick.IsTail() {
 			out = append(out, TailPick(taken.Take(pick.Tail)))
 			m--
 			continue
 		}
-		out = append(out, Pick{Support: alive[pick.Support]})
-		last := len(remaining) - 1
-		remaining[pick.Support], remaining[last] = remaining[last], remaining[pick.Support]
-		alive[pick.Support], alive[last] = alive[last], alive[pick.Support]
+		i := pick.Support
+		out = append(out, Pick{Support: alive[i]})
+		x, last := remaining[i], len(remaining)-1
+		remaining[i], remaining[last] = remaining[last], remaining[i]
+		alive[i], alive[last] = alive[last], alive[i]
 		remaining = remaining[:last]
 		alive = alive[:last]
+		if x == umax { // the maximum may have left
+			umax, i = lw.init(remaining, scale), 0
+		}
+		cdf = lw.extendCDF(cdf[:i], remaining)
 	}
+	ps.chosen = taken.chosen[:0]
 	return out, nil
 }

@@ -4,7 +4,9 @@
 # An uncached request's zero-alloc claim rests on the compiler keeping
 # per-request state on the stack or in pooled scratch: the utility kernels
 # fill a pooled utility.Support, the mechanisms draw with pooled weight
-# scratch, and both pools are internal/stream instrumented pools. This
+# and peel scratch, and those pools are internal/stream instrumented pools.
+# The exponential mechanism's level table (levels.go) is a stack array; if
+# it ever escaped, "moved to heap: lw" would fail this check. This
 # script compiles those three packages with -gcflags=-m and fails if any
 # heap escape appears in the request-path files beyond the known-benign
 # allowlist:
@@ -40,16 +42,16 @@ while getopts 'v' opt; do
     esac
 done
 
-HOT_FILES='internal/(stream/pool|utility/(sparse|common|jaccard|degree|weightedpaths|pagerank)|mechanism/(sparse|heap|pool))\.go'
+HOT_FILES='internal/(stream/pool|utility/(sparse|common|jaccard|degree|weightedpaths|pagerank)|mechanism/(sparse|heap|pool|exponential|levels))\.go'
 
 # The allowlist is a list of "name<TAB>regexp" rules so that -v can report
 # which rule matched a given escape line. Order matters only for -v
 # attribution (first match wins); any match waives the line.
 ALLOW_RULES=(
-    $'pool-constructor\t&sparseScratch\\{\\} escapes|&stream\\.Pool\\[.* escapes|func literal escapes|moved to heap: s$'
+    $'pool-constructor\t&(sparseScratch|peelScratch)\\{\\} escapes|&stream\\.Pool\\[.* escapes|func literal escapes|moved to heap: s$'
     $'length-n-growth\tmake\\(\\[\\]float64, n\\) escapes'
-    $'cold-result-slice\tmake\\(\\[\\](PoolStat|topEntry|Pick|int32|uint64|int|float64)|moved to heap: c$'
-    $'errorpath-boxing\t: (out|nnz|n|k|r|alpha|w\\.Gamma|s\\.N|len\\(s\\.Val\\)|s\\.Base\\.Name\\(\\)|~r0) escapes'
+    $'cold-result-slice\tmake\\(\\[\\](PoolStat|topEntry|Pick|int32|int|float64)|moved to heap: c$'
+    $'errorpath-boxing\t: (e\\.Epsilon|out|nnz|n|k|r|alpha|w\\.Gamma|s\\.N|len\\(s\\.Val\\)|s\\.Base\\.Name\\(\\)|~r0) escapes'
     $'mutable-graph-row\tsparse\\.go:[0-9]+:[0-9]+: moved to heap: row$'
 )
 

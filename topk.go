@@ -21,9 +21,12 @@ import (
 //     costs k·ln(1+nx/(1-x)), so the per-construction x is derated to ε/k.
 //   - MechanismNone returns the exact top k (no privacy).
 //
-// Every arm runs over the sparse utility form: the zero tail is sampled in
-// closed form (mechanism.TopKLaplaceSparse, TopKPeelSparse), so a k-set
-// costs O(nnz + k) instead of O(n) per release.
+// Every arm runs over the sparse utility form, with the zero tail sampled
+// in closed form, so no arm is O(n): the Laplace release
+// (mechanism.TopKLaplaceSparse) costs O(nnz + k), and the exponential peel
+// (mechanism.TopKPeelSparse) O(k·nnz), each of its k rounds costing nnz
+// level-table reads plus one exp per utility level (per-entry exps when
+// the utilities are not small integers).
 //
 // The paper's Appendix A observes that multiple recommendations face
 // strictly harsher accuracy limits than single ones; expect noticeably
